@@ -1,20 +1,27 @@
 GO ?= go
 
-.PHONY: all check build vet lint lint-fix-check test test-shuffle test-race prop fuzz-smoke bench bench-json bench-gate bench-serve serve-smoke report examples clean
+.PHONY: all check build vet perfbench-vet lint lint-fix-check test test-shuffle test-race prop fuzz-smoke bench bench-json bench-gate bench-serve serve-smoke report examples clean
 
 all: build vet lint test test-race report serve-smoke
 
-# Fast pre-commit gate: compile, vet, determinism lint, unit tests (no race
-# detector), a shuffled re-run (test-order independence), the cold-vs-cached
-# report identity check, and the service-mode smoke (humnetd + humnetload
-# determinism end-to-end).
-check: build vet lint test test-shuffle report serve-smoke
+# Fast pre-commit gate: compile, vet (the pinned benchmark module too),
+# determinism lint, unit tests (no race detector), a shuffled re-run
+# (test-order independence), the cold-vs-cached report identity check, and
+# the service-mode smoke (humnetd + humnetload determinism end-to-end).
+check: build vet perfbench-vet lint test test-shuffle report serve-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Compile and vet the benchmark module in _perfbench. It is its own Go module
+# (replace repro => ../), so ./... above never builds it; an API change that
+# breaks it would otherwise surface only when the benchmark runs. Offline and
+# against the local toolchain only.
+perfbench-vet:
+	GOTOOLCHAIN=local GOPROXY=off GOWORK=off GOFLAGS= $(GO) -C _perfbench vet ./...
 
 # Run the repo's determinism linters (internal/analysis via cmd/humnetlint):
 # rangemap, wildrand, errdrop, paraccum plus the interprocedural aliasret,

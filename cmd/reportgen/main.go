@@ -138,7 +138,7 @@ func runTimeline(path string, workers int, jsonOut bool, out string, stdout io.W
 	if err != nil {
 		return err
 	}
-	series, err := timeline.Replay(doc.Stream, m)
+	series, err := timeline.ReplayCtx(context.Background(), doc.Stream, m)
 	if err != nil {
 		return err
 	}

@@ -11,33 +11,31 @@ import (
 // silently depends on: every mutation of the compiled routing state
 // (engine, entry, RoutingTables, nodeArena in internal/bgpsim) must happen
 // on the recording path — reachable, over the static call graph in the
-// interprocedural summaries, from the Converge*/Apply/applyScoped/Revert
-// roots. A write reached any other way bypasses undo recording, and the
-// next Revert restores a world that never existed. Writes to bare local
-// variables are rebinds, not shared-state mutation, and are out of scope;
-// the rule looks at selector/index/deref stores, IncDec, and the copy/delete
-// builtins whose target's type chain includes a protected named type.
+// interprocedural summaries, from the ConvergeCtx/ConvergeStateCtx/Apply/
+// applyScoped/Revert roots. A write reached any other way bypasses undo
+// recording, and the next Revert restores a world that never existed.
+// Writes to bare local variables are rebinds, not shared-state mutation,
+// and are out of scope; the rule looks at selector/index/deref stores,
+// IncDec, and the copy/delete builtins whose target's type chain includes a
+// protected named type.
 //
 // The rule is configuration-driven (NewUndoScope) so fixture suites can
 // exercise it against a miniature state machine without colliding with the
 // real bgpsim package. The production instance carries one scope per
 // protected package: bgpsim's undo log, and the composition layer's cascade
 // bookkeeping (fired/pending/injected in Composition), which the same
-// argument protects — a Composition mutated outside Compose/Replay replays
+// argument protects — a Composition mutated outside Compose/ReplayCtx replays
 // a cascade history that never happened.
 var UndoScope = NewUndoScope(
 	UndoScopeConfig{
 		PkgSuffix:  "/internal/bgpsim",
 		StateTypes: []string{"engine", "entry", "RoutingTables", "nodeArena"},
-		Roots: []string{
-			"Converge", "ConvergeWorkers", "ConvergeState", "ConvergeStateCtx",
-			"Apply", "applyScoped", "Revert",
-		},
+		Roots:      []string{"ConvergeCtx", "ConvergeStateCtx", "Apply", "applyScoped", "Revert"},
 	},
 	UndoScopeConfig{
 		PkgSuffix:  "/internal/timeline",
 		StateTypes: []string{"Composition"},
-		Roots:      []string{"Compose", "ReplayCtx", "Replay"},
+		Roots:      []string{"Compose", "ReplayCtx"},
 	},
 )
 
@@ -57,7 +55,7 @@ type UndoScopeConfig struct {
 func NewUndoScope(cfgs ...UndoScopeConfig) *Analyzer {
 	return &Analyzer{
 		Name: "undoscope",
-		Doc:  "engine state writes must be reachable from the undo-recording path (applyDelta/Revert)",
+		Doc:  "engine state writes must be reachable from the undo-recording path (Apply/Revert)",
 		Run: func(pass *Pass) {
 			for _, cfg := range cfgs {
 				runUndoScope(pass, cfg)

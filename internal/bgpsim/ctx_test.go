@@ -8,32 +8,36 @@ import (
 	"repro/internal/rng"
 )
 
-// TestSweepCtxMatchesWorkers pins the ctxflow remediation: the Ctx sweep
-// variants with a Background context return exactly the rows the Workers
-// entry points do.
+// TestSweepCtxMatchesWorkers pins the ctx-first sweeps across worker
+// counts: under a live (never-cancelled) context, RunLeakSweepCtx and
+// RunHijackSweepCtx return exactly the rows of the serial background run.
 func TestSweepCtxMatchesWorkers(t *testing.T) {
-	wantLeak, err := RunLeakSweepWorkers(8, 20, 5, 1)
+	o := HierarchyOpts{NMid: 8, NStub: 20}
+	wantLeak, err := leakSweep(o.NMid, o.NStub, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLeak, err := RunLeakSweepCtx(context.Background(), 8, 20, 5, 1)
+	wantHijack, err := hijackSweep(o.NMid, o.NStub, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotLeak, wantLeak) {
-		t.Errorf("leak rows differ between Ctx(Background) and Workers")
-	}
-
-	wantHijack, err := RunHijackSweepWorkers(8, 20, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotHijack, err := RunHijackSweepCtx(context.Background(), 8, 20, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotHijack, wantHijack) {
-		t.Errorf("hijack rows differ between Ctx(Background) and Workers")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, workers := range []int{1, 3} {
+		gotLeak, err := RunLeakSweepCtx(ctx, o, 5, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotLeak, wantLeak) {
+			t.Errorf("workers=%d: leak rows differ from the serial run", workers)
+		}
+		gotHijack, err := RunHijackSweepCtx(ctx, o, 5, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotHijack, wantHijack) {
+			t.Errorf("workers=%d: hijack rows differ from the serial run", workers)
+		}
 	}
 }
 
@@ -42,29 +46,33 @@ func TestSweepCtxMatchesWorkers(t *testing.T) {
 func TestSweepCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if rows, err := RunLeakSweepCtx(ctx, 8, 20, 5, 1); err == nil {
+	if rows, err := RunLeakSweepCtx(ctx, HierarchyOpts{NMid: 8, NStub: 20}, 5, 1); err == nil {
 		t.Errorf("RunLeakSweepCtx on a cancelled context returned %d rows, want error", len(rows))
 	}
-	if rows, err := RunHijackSweepCtx(ctx, 8, 20, 5, 1); err == nil {
+	if rows, err := RunHijackSweepCtx(ctx, HierarchyOpts{NMid: 8, NStub: 20}, 5, 1); err == nil {
 		t.Errorf("RunHijackSweepCtx on a cancelled context returned %d rows, want error", len(rows))
 	}
 }
 
-// TestConvergeCtxMatchesWorkers pins Topology.ConvergeCtx to the cold
-// convergence oracle, serially and in parallel.
+// TestConvergeCtxMatchesWorkers pins Topology.ConvergeCtx under a live
+// (never-cancelled) context to the serial background-context tables, at one
+// and at several workers. assertEngineMatchesReference ties those to the
+// reference oracle.
 func TestConvergeCtxMatchesWorkers(t *testing.T) {
 	h, err := BuildHierarchy(rng.New(9), 6, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := h.Topo.ConvergeWorkers(1)
+	want := mustConverge(h.Topo, 1)
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
 	for _, workers := range []int{1, 3} {
-		got, err := h.Topo.ConvergeCtx(context.Background(), workers)
+		got, err := h.Topo.ConvergeCtx(live, workers)
 		if err != nil {
 			t.Fatalf("ConvergeCtx(workers=%d): %v", workers, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("ConvergeCtx(workers=%d) tables differ from ConvergeWorkers(1)", workers)
+			t.Errorf("ConvergeCtx(workers=%d) tables differ from the serial run", workers)
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -101,7 +101,7 @@ func TestPropConvergeMatchesReference(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("building topology: %w", err)
 		}
-		rt := topo.Converge()
+		rt := mustConverge(topo, 1)
 		if err := tablesMatchReference(topo, rt, topo.convergeReference(), stubPrefixes(stubs)); err != nil {
 			return fmt.Errorf("engine diverged from reference on spec %+v: %w", spec, err)
 		}
@@ -117,8 +117,8 @@ func TestPropConvergeWorkerInvariant(t *testing.T) {
 			return fmt.Errorf("building topology: %w", err)
 		}
 		workers := g.IntRange(2, 8)
-		serial := topo.Converge()
-		fanned := topo.ConvergeWorkers(workers)
+		serial := mustConverge(topo, 1)
+		fanned := mustConverge(topo, workers)
 		for _, n := range topo.ASNs() {
 			for _, pfx := range stubPrefixes(stubs) {
 				if !routesEqual(serial.Route(n, pfx), fanned.Route(n, pfx)) {
@@ -137,7 +137,7 @@ func TestPropConvergedPathsValleyFree(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("building topology: %w", err)
 		}
-		rt := topo.Converge()
+		rt := mustConverge(topo, 1)
 		for _, n := range topo.ASNs() {
 			for _, pfx := range stubPrefixes(stubs) {
 				path := rt.Path(n, pfx)
@@ -167,7 +167,7 @@ func TestPropBlastRadiusWithinReachable(t *testing.T) {
 		if !topo.MarkLeaker(leaker) {
 			return fmt.Errorf("MarkLeaker(%d) failed", leaker)
 		}
-		rt := topo.Converge()
+		rt := mustConverge(topo, 1)
 		pfx := fmt.Sprintf("pfx-%d", stubs[g.Intn(len(stubs))])
 		affected, reachable := BlastRadius(rt, leaker, pfx)
 		if len(affected) >= reachable && len(affected) > 0 {
@@ -206,11 +206,11 @@ func TestPropWithdrawReannounceIdempotent(t *testing.T) {
 			return nil
 		}
 		prefixes := stubPrefixes(stubs)
-		before := topo.Converge()
+		before := mustConverge(topo, 1)
 		victim := stubs[g.Intn(len(stubs))]
 		pfx := fmt.Sprintf("pfx-%d", victim)
 		topo.WithdrawOrigin(victim, pfx)
-		gone := topo.Converge()
+		gone := mustConverge(topo, 1)
 		for _, n := range topo.ASNs() {
 			if gone.Reachable(n, pfx) {
 				return fmt.Errorf("AS %d still reaches withdrawn %s", n, pfx)
@@ -219,7 +219,7 @@ func TestPropWithdrawReannounceIdempotent(t *testing.T) {
 		if err := topo.Originate(victim, pfx); err != nil {
 			return fmt.Errorf("re-announcing %s: %w", pfx, err)
 		}
-		after := topo.Converge()
+		after := mustConverge(topo, 1)
 		for _, n := range topo.ASNs() {
 			for _, p := range prefixes {
 				if !routesEqual(before.Route(n, p), after.Route(n, p)) {

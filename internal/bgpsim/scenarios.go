@@ -37,7 +37,7 @@ func init() {
 
 // runE14 measures leak blast radii across leaker positions.
 func runE14(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
-	rows, err := RunLeakSweepCtx(ctx, p.Int("mids"), p.Int("stubs"), seed, experiment.WorkersFrom(ctx))
+	rows, err := RunLeakSweepCtx(ctx, HierarchyOpts{NMid: p.Int("mids"), NStub: p.Int("stubs")}, seed, experiment.WorkersFrom(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func runE14(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 
 // runE16 measures hijack capture across attacker positions.
 func runE16(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
-	rows, err := RunHijackSweepCtx(ctx, p.Int("mids"), p.Int("stubs"), seed, experiment.WorkersFrom(ctx))
+	rows, err := RunHijackSweepCtx(ctx, HierarchyOpts{NMid: p.Int("mids"), NStub: p.Int("stubs")}, seed, experiment.WorkersFrom(ctx))
 	if err != nil {
 		return nil, err
 	}

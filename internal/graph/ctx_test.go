@@ -7,34 +7,35 @@ import (
 	"repro/internal/rng"
 )
 
-// TestCentralityCtxMatchesWorkers pins the ctxflow remediation: the Ctx
-// variants with a Background context must return exactly the rows the
-// Workers wrappers do, for serial and parallel paths alike.
+// TestCentralityCtxMatchesWorkers pins the ctx-first centralities under a
+// live (never-cancelled) context to the serial background-context scores,
+// for serial and parallel paths alike.
 func TestCentralityCtxMatchesWorkers(t *testing.T) {
 	g := ErdosRenyi(120, 0.05, rng.New(7))
+	wantB, wantC := betweenness(g, 1), closeness(g, 1)
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
 	for _, workers := range []int{1, 3} {
-		bw := g.BetweennessCentralityWorkers(workers)
-		bc, err := g.BetweennessCentralityCtx(context.Background(), workers)
+		bc, err := g.BetweennessCentralityCtx(live, workers)
 		if err != nil {
 			t.Fatalf("BetweennessCentralityCtx(workers=%d): %v", workers, err)
 		}
-		cw := g.ClosenessCentralityWorkers(workers)
-		cc, err := g.ClosenessCentralityCtx(context.Background(), workers)
+		cc, err := g.ClosenessCentralityCtx(live, workers)
 		if err != nil {
 			t.Fatalf("ClosenessCentralityCtx(workers=%d): %v", workers, err)
 		}
-		for i := range bw {
-			if bc[i] != bw[i] {
-				t.Fatalf("workers=%d: betweenness Ctx[%d]=%v != Workers %v", workers, i, bc[i], bw[i])
+		for i := range wantB {
+			if bc[i] != wantB[i] {
+				t.Fatalf("workers=%d: betweenness[%d]=%v != serial %v", workers, i, bc[i], wantB[i])
 			}
-			if cc[i] != cw[i] {
-				t.Fatalf("workers=%d: closeness Ctx[%d]=%v != Workers %v", workers, i, cc[i], cw[i])
+			if cc[i] != wantC[i] {
+				t.Fatalf("workers=%d: closeness[%d]=%v != serial %v", workers, i, cc[i], wantC[i])
 			}
 		}
 	}
 }
 
-// TestCentralityCtxCancelled checks both centrality variants stop and
+// TestCentralityCtxCancelled checks both centralities stop and
 // surface ctx.Err() instead of returning half-accumulated scores.
 func TestCentralityCtxCancelled(t *testing.T) {
 	g := ErdosRenyi(120, 0.05, rng.New(7))

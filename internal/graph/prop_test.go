@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -19,8 +20,14 @@ func TestPropClosenessPermutationEquivariant(t *testing.T) {
 	proptest.Run(t, 201, 80, func(g *proptest.G) error {
 		spec := g.Graph(12, 0.3)
 		p := g.Perm(spec.N)
-		c1 := buildFromSpecErr(spec).ClosenessCentrality()
-		c2 := buildRelabeledErr(spec, p).ClosenessCentrality()
+		c1, err := buildFromSpecErr(spec).ClosenessCentralityCtx(context.Background(), 0)
+		if err != nil {
+			return err
+		}
+		c2, err := buildRelabeledErr(spec, p).ClosenessCentralityCtx(context.Background(), 0)
+		if err != nil {
+			return err
+		}
 		for i := range c1 {
 			if !proptest.SameFloat(c1[i], c2[p[i]]) {
 				return fmt.Errorf("closeness not equivariant at node %d (as %d): %v vs %v",
@@ -35,8 +42,14 @@ func TestPropBetweennessPermutationEquivariant(t *testing.T) {
 	proptest.Run(t, 202, 80, func(g *proptest.G) error {
 		spec := g.ConnectedGraph(10, 0.25)
 		p := g.Perm(spec.N)
-		c1 := buildFromSpecErr(spec).BetweennessCentrality()
-		c2 := buildRelabeledErr(spec, p).BetweennessCentrality()
+		c1, err := buildFromSpecErr(spec).BetweennessCentralityCtx(context.Background(), 0)
+		if err != nil {
+			return err
+		}
+		c2, err := buildRelabeledErr(spec, p).BetweennessCentralityCtx(context.Background(), 0)
+		if err != nil {
+			return err
+		}
 		for i := range c1 {
 			if !proptest.ApproxEq(c1[i], c2[p[i]], 1e-9) {
 				return fmt.Errorf("betweenness not equivariant at node %d (as %d): %v vs %v",
@@ -52,13 +65,26 @@ func TestPropCentralityWorkerInvariant(t *testing.T) {
 		spec := g.ConnectedGraph(12, 0.3)
 		gr := buildFromSpecErr(spec)
 		workers := g.IntRange(2, 8)
-		b1 := gr.BetweennessCentralityWorkers(1)
-		bw := gr.BetweennessCentralityWorkers(workers)
+		ctx := context.Background()
+		b1, err := gr.BetweennessCentralityCtx(ctx, 1)
+		if err != nil {
+			return err
+		}
+		bw, err := gr.BetweennessCentralityCtx(ctx, workers)
+		if err != nil {
+			return err
+		}
 		if !proptest.FloatsApproxEq(b1, bw, 0) {
 			return fmt.Errorf("betweenness differs at workers=%d:\n serial %v\n workers %v", workers, b1, bw)
 		}
-		c1 := gr.ClosenessCentralityWorkers(1)
-		cw := gr.ClosenessCentralityWorkers(workers)
+		c1, err := gr.ClosenessCentralityCtx(ctx, 1)
+		if err != nil {
+			return err
+		}
+		cw, err := gr.ClosenessCentralityCtx(ctx, workers)
+		if err != nil {
+			return err
+		}
 		if !proptest.FloatsApproxEq(c1, cw, 0) {
 			return fmt.Errorf("closeness differs at workers=%d:\n serial %v\n workers %v", workers, c1, cw)
 		}

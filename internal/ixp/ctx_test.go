@@ -6,50 +6,52 @@ import (
 	"testing"
 )
 
-// TestSweepCtxMatchesWorkers pins the ctxflow remediation: every sweep's
-// Ctx variant with a Background context returns exactly the rows its
-// Workers wrapper does.
+// TestSweepCtxMatchesWorkers pins every ctx-first sweep across worker
+// counts: under a live (never-cancelled) context, the fanned-out rows equal
+// the serial background-context rows.
 func TestSweepCtxMatchesWorkers(t *testing.T) {
-	ctx := context.Background()
+	bg := context.Background()
+	live, stop := context.WithCancel(bg)
+	defer stop()
 
-	wantCirc, err := CircumventionSweepWorkers(3, 0.5, 2, 1)
+	wantCirc, err := CircumventionSweepCtx(bg, 3, 0.5, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotCirc, err := CircumventionSweepCtx(ctx, 3, 0.5, 2, 1)
+	gotCirc, err := CircumventionSweepCtx(live, 3, 0.5, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotCirc, wantCirc) {
-		t.Error("circumvention rows differ between Ctx(Background) and Workers")
+		t.Error("circumvention rows differ between workers 1 and 3")
 	}
 
 	presences := []float64{0, 0.5, 1}
-	wantGrav, err := GravitySweepWorkers(12, 3, presences, 7, 1)
+	wantGrav, err := GravitySweepCtx(bg, 12, 3, presences, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotGrav, err := GravitySweepCtx(ctx, 12, 3, presences, 7, 1)
+	gotGrav, err := GravitySweepCtx(live, 12, 3, presences, 7, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotGrav, wantGrav) {
-		t.Error("gravity rows differ between Ctx(Background) and Workers")
+		t.Error("gravity rows differ between workers 1 and 3")
 	}
 
 	base := EconConfig{SouthISPs: 12, LocalIXPs: 3, ContentPresence: 0.5,
 		ContentVolume: 10, TransitPricePerUnit: 2, Seed: 7}
 	costs := []float64{1, 25, 100}
-	wantEcon, err := EconomicSweepWorkers(base, costs, 1)
+	wantEcon, err := EconomicSweepCtx(bg, base, costs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotEcon, err := EconomicSweepCtx(ctx, base, costs, 1)
+	gotEcon, err := EconomicSweepCtx(live, base, costs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotEcon, wantEcon) {
-		t.Error("economic rows differ between Ctx(Background) and Workers")
+		t.Error("economic rows differ between workers 1 and 3")
 	}
 }
 

@@ -15,6 +15,12 @@
 //     content is present. When hyperscaler PoPs are absent from local IXPs,
 //     traffic gravitates to giant foreign IXPs (DE-CIX), which become
 //     "alternatives to Tier 1".
+//
+// The experiment sweeps (CircumventionSweepCtx, PolicySweepCtx,
+// GravitySweepCtx, EconomicSweepCtx) fan their independent points across at
+// most workers goroutines (<= 0 means GOMAXPROCS), write each row at its
+// point's index, and check ctx between points, so the rows are identical for
+// every worker count.
 package ixp
 
 import (

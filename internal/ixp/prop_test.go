@@ -1,6 +1,7 @@
 package ixp_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -26,7 +27,7 @@ func TestPropCircumventionRowInvariants(t *testing.T) {
 			cfg.Shells = g.IntRange(1, 5)
 			cfg.MigratedShare = g.Float64Range(0, 0.5)
 		}
-		row, err := ixp.RunCircumvention(cfg)
+		row, err := ixp.RunCircumventionCtx(context.Background(), cfg)
 		if err != nil {
 			return fmt.Errorf("%+v: %w", cfg, err)
 		}
@@ -48,7 +49,7 @@ func TestPropCircumventionRowInvariants(t *testing.T) {
 			}
 		}
 		// Determinism: the scenario has no hidden randomness at all.
-		row2, err := ixp.RunCircumvention(cfg)
+		row2, err := ixp.RunCircumventionCtx(context.Background(), cfg)
 		if err != nil {
 			return err
 		}
@@ -68,7 +69,7 @@ func TestPropGravityRowInvariants(t *testing.T) {
 			RemotePeerAlways: g.Bool(0.3),
 			Seed:             g.Uint64(),
 		}
-		row, err := ixp.RunGravity(cfg)
+		row, err := ixp.RunGravityCtx(context.Background(), cfg)
 		if err != nil {
 			return fmt.Errorf("%+v: %w", cfg, err)
 		}
@@ -106,11 +107,11 @@ func TestPropSweepsWorkerInvariant(t *testing.T) {
 		competitors := g.IntRange(1, 5)
 		share := g.Float64Range(0.2, 0.8)
 		maxShells := g.IntRange(1, 4)
-		serialC, err := ixp.CircumventionSweepWorkers(competitors, share, maxShells, 1)
+		serialC, err := ixp.CircumventionSweepCtx(context.Background(), competitors, share, maxShells, 1)
 		if err != nil {
 			return err
 		}
-		fannedC, err := ixp.CircumventionSweepWorkers(competitors, share, maxShells, workers)
+		fannedC, err := ixp.CircumventionSweepCtx(context.Background(), competitors, share, maxShells, workers)
 		if err != nil {
 			return err
 		}
@@ -126,11 +127,11 @@ func TestPropSweepsWorkerInvariant(t *testing.T) {
 
 		presences := g.FloatsIn(1, 5, 0, 1)
 		seed := g.Uint64()
-		serialG, err := ixp.GravitySweepWorkers(3, 2, presences, seed, 1)
+		serialG, err := ixp.GravitySweepCtx(context.Background(), 3, 2, presences, seed, 1)
 		if err != nil {
 			return err
 		}
-		fannedG, err := ixp.GravitySweepWorkers(3, 2, presences, seed, workers)
+		fannedG, err := ixp.GravitySweepCtx(context.Background(), 3, 2, presences, seed, workers)
 		if err != nil {
 			return err
 		}

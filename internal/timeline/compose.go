@@ -162,12 +162,6 @@ type ComposedSeries struct {
 	Dropped  int
 }
 
-// Replay is ReplayCtx under a background context, for callers with no
-// context to thread.
-func (c *Composition) Replay(s Stream) (*ComposedSeries, error) {
-	return c.ReplayCtx(context.Background(), s)
-}
-
 // ReplayCtx canonicalizes and validates the stream, then runs it through the
 // composition: for each tick, apply the tick's due events (scripted plus
 // cascade-injected, in canonical order) each to its consuming part, observe

@@ -42,13 +42,18 @@ type IXPMachine struct {
 // initial convergence only — machines have no per-tick context.
 func NewIXPMachine(ctx context.Context, f *ixp.Fabric, demands []ixp.Demand, country string, workers int) (*IXPMachine, error) {
 	m := &IXPMachine{f: f, country: country, demands: demands, workers: workers}
-	m.f.EstablishSessions(m.reg)
-	conv, err := f.Topo.ConvergeStateCtx(ctx, workers)
-	if err != nil {
+	if err := m.establish(ctx); err != nil {
 		return nil, err
 	}
-	m.conv = conv
 	return m, nil
+}
+
+// establish (re-)establishes every session under the current regulation
+// and converges the fabric cold into a fresh live state.
+func (m *IXPMachine) establish(ctx context.Context) (err error) {
+	m.f.EstablishSessions(m.reg)
+	m.conv, err = m.f.Topo.ConvergeStateCtx(ctx, m.workers)
+	return err
 }
 
 // Kinds: membership (strict join/leave and soft pressure) plus regulation.
@@ -98,12 +103,11 @@ func (m *IXPMachine) Apply(ev Event) error {
 		return m.establishMember(ev.ASN)
 	case KindRegulate:
 		m.reg = ixp.Regulation{Country: ev.Name, MandatoryPeering: true}
-		m.f.EstablishSessions(m.reg)
-		m.conv = m.f.Topo.ConvergeState(m.workers)
+		// Machines have no per-tick context (see NewIXPMachine).
+		return m.establish(context.TODO())
 	default:
 		return fmt.Errorf("IXP machine cannot apply %s events", ev.Kind)
 	}
-	return nil
 }
 
 // establishMember adds n's missing sessions under the current regulation as

@@ -1,12 +1,12 @@
 package timeline
 
 // The replay loop. A Machine is live simulation state that can apply the
-// events it understands and observe one row of metrics per tick; Replay
+// events it understands and observe one row of metrics per tick; ReplayCtx
 // drives a stream through it and collects the time series. Determinism
 // contract: a Machine's Apply/Observe must be pure functions of its
 // construction arguments and the event sequence — no wall clock, no global
-// RNG, no map-iteration-order dependence — so Replay(stream, machine) is
-// byte-stable for a fixed seed at any worker count.
+// RNG, no map-iteration-order dependence — so ReplayCtx(ctx, stream, machine)
+// is byte-stable for a fixed seed at any worker count.
 
 import (
 	"context"
@@ -31,7 +31,7 @@ type Machine interface {
 	// machine's life. It is the routing contract of the composition layer
 	// (compose.go): Compose requires the parts' kind sets to be disjoint and
 	// directs each merged-stream or cascade-injected event to the one part
-	// that claims its kind. Single-machine Replay ignores it — the stream is
+	// that claims its kind. Single-machine ReplayCtx ignores it — the stream is
 	// the machine's own, and Apply stays strict about every event in it.
 	Kinds() []Kind
 	// Apply applies one event. Machines are strict: an event of a kind the
@@ -49,13 +49,6 @@ type Machine interface {
 type Series struct {
 	Cols []Col
 	Rows [][]float64
-}
-
-// Replay runs the stream through m with no cancellation point; it is
-// ReplayCtx under a background context, kept for callers (generators' tests,
-// benchmarks) with no context to thread.
-func Replay(s Stream, m Machine, hooks ...func(tick int) error) (*Series, error) {
-	return ReplayCtx(context.Background(), s, m, hooks...)
 }
 
 // ReplayCtx canonicalizes and validates the stream, then runs it through m:

@@ -18,7 +18,7 @@
 //     engine (falling back to cold column re-convergence exactly where the
 //     uniqueness gate demands — that logic lives in bgpsim, not here); the
 //     CN and IXP machines drive the churn hooks those packages expose.
-//   - Replay (machine.go): the loop — canonicalize, validate, apply each
+//   - ReplayCtx (machine.go): the loop — canonicalize, validate, apply each
 //     tick's events, observe, collect a time-series that converts to an
 //     experiment.Result table.
 //
@@ -256,7 +256,7 @@ type Stream struct {
 }
 
 // Canonicalize returns a copy of the stream with events stably sorted into
-// the canonical application order (see less). Replay canonicalizes
+// the canonical application order (see less). ReplayCtx canonicalizes
 // internally, so any permutation of the same event multiset replays
 // identically; Canonicalize exists for code that wants the normal form
 // itself (FormatStream emits it).
