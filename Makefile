@@ -72,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantile$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzHistogram$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime $(FUZZTIME) ./internal/bgpsim
+	$(GO) test -run '^$$' -fuzz '^FuzzApplyRevert$$' -fuzztime $(FUZZTIME) ./internal/bgpsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseStream$$' -fuzztime $(FUZZTIME) ./internal/timeline
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME) ./internal/qualcode
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) ./internal/textproc

@@ -9,7 +9,7 @@ import (
 
 // UndoScope guards the invariant the incremental engine's sparse undo log
 // silently depends on: every mutation of the compiled routing state
-// (engine, entry, RoutingTables, nodeArena in internal/bgpsim) must happen
+// (engine, entry, column, pathNode, RoutingTables in internal/bgpsim) must happen
 // on the recording path — reachable, over the static call graph in the
 // interprocedural summaries, from the ConvergeCtx/ConvergeStateCtx/Apply/
 // applyScoped/Revert roots. A write reached any other way bypasses undo
@@ -29,7 +29,7 @@ import (
 var UndoScope = NewUndoScope(
 	UndoScopeConfig{
 		PkgSuffix:  "/internal/bgpsim",
-		StateTypes: []string{"engine", "entry", "RoutingTables", "nodeArena"},
+		StateTypes: []string{"engine", "entry", "column", "pathNode", "RoutingTables"},
 		Roots:      []string{"ConvergeCtx", "ConvergeStateCtx", "Apply", "applyScoped", "Revert"},
 	},
 	UndoScopeConfig{

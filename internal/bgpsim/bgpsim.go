@@ -33,7 +33,7 @@ type ASN int
 
 // Relationship classifies how a route was learned, which determines both
 // local preference and export policy under Gao–Rexford. The underlying type
-// is a byte so the engine's dense table cells stay 16 bytes (see entry in
+// is a byte so the engine's dense table cells stay 12 bytes (see entry in
 // engine.go); the constant values and ordering are part of the public API.
 type Relationship uint8
 
@@ -295,50 +295,54 @@ type Route struct {
 }
 
 // RoutingTables holds the converged best route of every AS for every prefix.
-// Internally the tables are dense: ASNs and prefixes are interned to indices
-// and each (prefix, AS) cell stores the selected relationship, the path
-// length, and the head of an immutable shared path chain (see engine.go).
-// All accessors return copies; nothing handed out aliases engine state.
+// Internally the tables are dense: ASNs and prefixes are interned to indices,
+// and each prefix column stores, per AS, the selected relationship, the path
+// length, and the head index of an immutable path chain in the column's own
+// pointer-free arena (see engine.go). All accessors return copies; nothing
+// handed out aliases engine state.
 type RoutingTables struct {
 	asns     []ASN
 	asIdx    map[ASN]int32
 	prefixes []string
 	pfxIdx   map[string]int32
-	entries  []entry // prefix-major: entries[p*len(asns)+a]
+	cols     []column // one per prefix, dense prefix index order
 	// order lists column indices in ascending prefix-string order. A cold
 	// compile sorts prefixes so order starts as the identity; incremental
 	// announcements of new prefixes append their column at the end of
-	// entries and splice the index here, keeping accessors that enumerate
+	// cols and splice the index here, keeping accessors that enumerate
 	// prefixes (Prefixes) byte-identical to a cold convergence.
 	order []int32
 }
 
 func newRoutingTables(asns []ASN, prefixes []string) *RoutingTables {
+	nAS := len(asns)
 	rt := &RoutingTables{
 		asns:     asns,
-		asIdx:    make(map[ASN]int32, len(asns)),
+		asIdx:    make(map[ASN]int32, nAS),
 		prefixes: prefixes,
 		pfxIdx:   make(map[string]int32, len(prefixes)),
-		entries:  make([]entry, len(asns)*len(prefixes)),
+		cols:     make([]column, len(prefixes)),
 		order:    make([]int32, len(prefixes)),
 	}
 	for i, n := range asns {
 		rt.asIdx[n] = int32(i)
 	}
+	cells := make([]entry, nAS*len(prefixes))
 	for i, p := range prefixes {
 		rt.pfxIdx[p] = int32(i)
 		rt.order[i] = int32(i)
+		rt.cols[i] = newColumn(cells[i*nAS : (i+1)*nAS : (i+1)*nAS])
 	}
 	return rt
 }
 
-// addPrefixColumn appends a zeroed column for a new prefix and returns its
+// addPrefixColumn appends an empty column for a new prefix and returns its
 // dense index. The caller guarantees the prefix is not already present.
 func (rt *RoutingTables) addPrefixColumn(prefix string) int32 {
 	pi := int32(len(rt.prefixes))
 	rt.prefixes = append(rt.prefixes, prefix)
 	rt.pfxIdx[prefix] = pi
-	rt.entries = append(rt.entries, make([]entry, len(rt.asns))...)
+	rt.cols = append(rt.cols, newColumn(make([]entry, len(rt.asns))))
 	at := sort.Search(len(rt.order), func(i int) bool {
 		return rt.prefixes[rt.order[i]] >= prefix
 	})
@@ -348,14 +352,16 @@ func (rt *RoutingTables) addPrefixColumn(prefix string) int32 {
 	return pi
 }
 
-// dropLastPrefixColumn removes the most recently added column. Only valid
-// immediately after addPrefixColumn (LIFO), which Converged.Revert enforces.
+// dropLastPrefixColumn removes the most recently added column, its routed
+// cells leaving the table-wide count with it. Only valid immediately after
+// addPrefixColumn (LIFO), which Converged.Revert enforces.
 func (rt *RoutingTables) dropLastPrefixColumn() {
 	pi := int32(len(rt.prefixes) - 1)
 	prefix := rt.prefixes[pi]
 	rt.prefixes = rt.prefixes[:pi]
 	delete(rt.pfxIdx, prefix)
-	rt.entries = rt.entries[:int(pi)*len(rt.asns)]
+	rt.cols[pi] = column{}
+	rt.cols = rt.cols[:pi]
 	for i, o := range rt.order {
 		if o == pi {
 			rt.order = append(rt.order[:i], rt.order[i+1:]...)
@@ -364,24 +370,25 @@ func (rt *RoutingTables) dropLastPrefixColumn() {
 	}
 }
 
-// lookup returns the cell for (n, prefix), or nil when either is unknown.
-func (rt *RoutingTables) lookup(n ASN, prefix string) *entry {
+// lookup returns the column and AS index of (n, prefix), or a nil column
+// when either is unknown.
+func (rt *RoutingTables) lookup(n ASN, prefix string) (*column, int32) {
 	ai, ok := rt.asIdx[n]
 	if !ok {
-		return nil
+		return nil, 0
 	}
 	pi, ok := rt.pfxIdx[prefix]
 	if !ok {
-		return nil
+		return nil, 0
 	}
-	return &rt.entries[int(pi)*len(rt.asns)+int(ai)]
+	return &rt.cols[pi], ai
 }
 
-// materialize copies a path chain into a fresh slice.
-func materialize(head *pathNode, plen int32) []ASN {
+// materialize copies the path chain at head into a fresh slice of ASNs.
+func (rt *RoutingTables) materialize(col *column, head uint32, plen int32) []ASN {
 	out := make([]ASN, 0, plen)
-	for c := head; c != nil; c = c.next {
-		out = append(out, c.asn)
+	for ; head != 0; head = col.nodes[head].next {
+		out = append(out, rt.asns[col.nodes[head].as])
 	}
 	return out
 }
@@ -390,27 +397,28 @@ func materialize(head *pathNode, plen int32) []ASN {
 // The caller owns the returned Route: mutating it, including its Path slice,
 // never affects the converged tables or the result of other calls.
 func (rt *RoutingTables) Route(n ASN, prefix string) *Route {
-	en := rt.lookup(n, prefix)
-	if en == nil || en.head == nil {
+	col, ai := rt.lookup(n, prefix)
+	if col == nil || col.cells[ai].head == 0 {
 		return nil
 	}
-	return &Route{Prefix: prefix, Path: materialize(en.head, en.plen), Learned: en.learned}
+	en := col.cells[ai]
+	return &Route{Prefix: prefix, Path: rt.materialize(col, en.head, en.plen), Learned: en.learned}
 }
 
 // Path returns the AS path from n to prefix (n first, origin last), or nil
 // when unreachable. The slice is a fresh copy owned by the caller.
 func (rt *RoutingTables) Path(n ASN, prefix string) []ASN {
-	en := rt.lookup(n, prefix)
-	if en == nil || en.head == nil {
+	col, ai := rt.lookup(n, prefix)
+	if col == nil || col.cells[ai].head == 0 {
 		return nil
 	}
-	return materialize(en.head, en.plen)
+	return rt.materialize(col, col.cells[ai].head, col.cells[ai].plen)
 }
 
 // Reachable reports whether n has any route to prefix.
 func (rt *RoutingTables) Reachable(n ASN, prefix string) bool {
-	en := rt.lookup(n, prefix)
-	return en != nil && en.head != nil
+	col, ai := rt.lookup(n, prefix)
+	return col != nil && col.cells[ai].head != 0
 }
 
 // Prefixes returns the sorted prefixes in n's table.
@@ -421,7 +429,7 @@ func (rt *RoutingTables) Prefixes(n ASN) []string {
 	}
 	out := make([]string, 0, len(rt.prefixes))
 	for _, pi := range rt.order {
-		if rt.entries[int(pi)*len(rt.asns)+int(ai)].head != nil {
+		if rt.cols[pi].cells[ai].head != 0 {
 			out = append(out, rt.prefixes[pi])
 		}
 	}

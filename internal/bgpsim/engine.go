@@ -15,12 +15,19 @@ package bgpsim
 //   - Neighbor adjacency is precompiled once per convergence: for every AS a
 //     sorted slice of (neighbor index, learned relationship, exports-all)
 //     edges replaces the per-AS-per-round map iteration + sort.
-//   - AS paths are immutable cons cells allocated from a block arena. A
-//     candidate path is the routing AS consed onto the neighbor's current
-//     path head — O(1), no slice copy — and comparisons (lexicographic
-//     tie-break, loop check, change detection) walk the cells. Because cells
-//     are snapshots, mid-convergence comparisons see exactly the paths the
-//     reference engine would materialize.
+//   - AS paths are immutable cons cells in a per-column arena: a flat
+//     []pathNode of (dense AS index, next index) pairs, with slot 0 as the
+//     nil sentinel, so the live state holds no pointers for the collector to
+//     scan. A candidate path is the routing AS consed onto the neighbor's
+//     current path head — O(1), no slice copy — and comparisons
+//     (lexicographic tie-break, loop check, change detection) walk the
+//     index chain. Dense indices are assigned in ascending-ASN order, so
+//     comparing indices is comparing ASNs. Because chain nodes are never
+//     mutated after allocation, mid-convergence comparisons see exactly the
+//     paths the reference engine would materialize. A column only ever conses onto
+//     heads in the same column, so chains never cross columns, and each
+//     column also counts its routed cells, which makes table-wide
+//     reachability O(prefixes).
 //   - Rounds are change-driven: only ASes with a neighbor whose selection
 //     changed in the previous round are re-evaluated. An AS's selection
 //     depends only on its neighbors' previous-round selections (and its own
@@ -34,8 +41,9 @@ package bgpsim
 //
 // Prefix columns never interact, so ConvergeCtx fans independent
 // prefixes across internal/parallel workers; each prefix's fixpoint is fully
-// self-contained and lands at its own table offset, making the result
-// bit-identical for every worker count.
+// self-contained and writes only its own column — cells, arena and counter —
+// so the result, arena layout included, is bit-identical for every worker
+// count.
 
 import (
 	"context"
@@ -45,68 +53,89 @@ import (
 	"repro/internal/parallel"
 )
 
-// pathNode is one hop of an AS path stored as an immutable cons cell: the
-// path of a route is its node's asn followed by the chain behind next, with
-// the origin AS last (next == nil). Nodes are shared between the adopting AS
-// and its neighbor's route, never mutated after allocation.
+// pathNode is one hop of an AS path stored as an immutable cons cell in its
+// column's arena: the path of a route is its node's AS (a dense index)
+// followed by the chain behind next, with the origin AS last (next == 0, the
+// sentinel slot). Nodes are shared between the adopting AS and its
+// neighbor's route, never mutated after allocation.
 type pathNode struct {
-	asn  ASN
-	next *pathNode
+	as   int32
+	next uint32
 }
 
-// nodeArena hands out pathNodes from fixed-size blocks so a convergence run
-// costs one allocation per block instead of one per selection change. Blocks
-// stay alive for as long as any table entry references a node inside them.
-type nodeArena struct {
-	block []pathNode
-	used  int
+// entry is one dense routing-table cell: the selected route of one AS for
+// one prefix. head == 0 means no route; otherwise head indexes the full path
+// (self first, origin last) in the column's arena and plen is its length.
+type entry struct {
+	head    uint32
+	plen    int32
+	learned Relationship
 }
 
-const arenaBlock = 256
+// column is the routing state of one prefix: the cell of every AS (dense
+// index order), the path arena the cells' heads index into (slot 0 is the
+// nil sentinel), and the number of cells holding a route. Every cell write
+// goes through set, which keeps reach exact.
+type column struct {
+	cells []entry
+	nodes []pathNode
+	reach int
+}
 
-func (a *nodeArena) alloc(asn ASN, next *pathNode) *pathNode {
-	if a.used == len(a.block) {
-		a.block = make([]pathNode, arenaBlock)
-		a.used = 0
+// newColumn returns an empty column over cells, with an arena holding only
+// the sentinel and room for one node per AS.
+func newColumn(cells []entry) column {
+	return column{cells: cells, nodes: make([]pathNode, 1, len(cells)+1)}
+}
+
+// alloc appends a node to the arena and returns its index.
+func (c *column) alloc(as int32, next uint32) uint32 {
+	c.nodes = append(c.nodes, pathNode{as: as, next: next})
+	return uint32(len(c.nodes) - 1)
+}
+
+// set writes cell i, keeping the routed-cell count in step.
+func (c *column) set(i int32, e entry) {
+	if had, has := c.cells[i].head != 0, e.head != 0; had != has {
+		if has {
+			c.reach++
+		} else {
+			c.reach--
+		}
 	}
-	n := &a.block[a.used]
-	a.used++
-	n.asn = asn
-	n.next = next
-	return n
+	c.cells[i] = e
 }
 
-// chainContains reports whether asn appears anywhere in the chain.
-func chainContains(c *pathNode, asn ASN) bool {
-	for ; c != nil; c = c.next {
-		if c.asn == asn {
+// contains reports whether AS index as appears anywhere in the chain.
+func (c *column) contains(head uint32, as int32) bool {
+	for ; head != 0; head = c.nodes[head].next {
+		if c.nodes[head].as == as {
 			return true
 		}
 	}
 	return false
 }
 
-// chainEqual reports whether two chains hold the same hops.
-func chainEqual(a, b *pathNode) bool {
-	for a != nil && b != nil {
+// equal reports whether two chains hold the same hops.
+func (c *column) equal(a, b uint32) bool {
+	for a != 0 && b != 0 {
 		if a == b {
 			return true // shared suffix: identical by construction
 		}
-		if a.asn != b.asn {
+		if c.nodes[a].as != c.nodes[b].as {
 			return false
 		}
-		a, b = a.next, b.next
+		a, b = c.nodes[a].next, c.nodes[b].next
 	}
-	return a == nil && b == nil
+	return a == b
 }
 
-// entry is one dense routing-table cell: the selected route of one AS for
-// one prefix. head == nil means no route; otherwise head is the full path
-// (self first, origin last) and plen its length.
-type entry struct {
-	head    *pathNode
-	plen    int32
-	learned Relationship
+// origin returns the AS index at the end of a non-empty chain.
+func (c *column) origin(head uint32) int32 {
+	for c.nodes[head].next != 0 {
+		head = c.nodes[head].next
+	}
+	return c.nodes[head].as
 }
 
 // neighborEdge is one precompiled adjacency edge from the perspective of the
@@ -296,27 +325,25 @@ type colUpdate struct {
 	e   entry
 }
 
-// convState is the reusable per-worker scratch of a prefix fixpoint. The
-// arena is carried along so successive prefixes fill partially used blocks,
-// but nodes themselves are never reused — finished tables keep their blocks
-// alive.
+// convState is the reusable per-worker scratch of a prefix fixpoint. Path
+// nodes live in the columns themselves, so the scratch holds only the work
+// queue and the pending round batch.
 type convState struct {
 	inQueue []bool
 	queue   []int32
 	changed []int32
 	updates []colUpdate
-	arena   nodeArena
 }
 
 // convergePrefix runs the change-driven fixpoint for prefix p, writing the
-// final column (one entry per AS, dense index order) into col. col must be
-// zeroed on entry.
-func (e *engine) convergePrefix(p int, col []entry, st *convState) {
+// final cells (one entry per AS, dense index order) into col. col's cells
+// must be zeroed on entry.
+func (e *engine) convergePrefix(p int, col *column, st *convState) {
 	// Round 0 of the reference engine sees only empty tables, so exactly the
 	// origin ASes obtain a route. Seed those and mark them changed.
 	st.changed = st.changed[:0]
 	for _, o := range e.origins[p] {
-		col[o] = entry{head: st.arena.alloc(e.asns[o], nil), plen: 1, learned: Origin}
+		col.set(o, entry{head: col.alloc(o, 0), plen: 1, learned: Origin})
 		st.changed = append(st.changed, o)
 	}
 	for round := 1; round < e.maxRounds && len(st.changed) > 0; round++ {
@@ -336,7 +363,7 @@ func (e *engine) convergePrefix(p int, col []entry, st *convState) {
 		st.updates = st.updates[:0]
 		for _, i := range st.queue {
 			st.inQueue[i] = false
-			if ne, changed := e.selectBest(i, p, col, &st.arena); changed {
+			if ne, changed := e.selectBest(i, p, col); changed {
 				st.updates = append(st.updates, colUpdate{idx: i, e: ne})
 			}
 		}
@@ -344,14 +371,14 @@ func (e *engine) convergePrefix(p int, col []entry, st *convState) {
 		// state, matching the reference engine's synchronous semantics.
 		st.changed = st.changed[:0]
 		for _, u := range st.updates {
-			col[u.idx] = u.e
+			col.set(u.idx, u.e)
 			st.changed = append(st.changed, u.idx)
 		}
 	}
 }
 
 // undoCell records one overwritten table cell so Converged.Revert can
-// restore the exact pre-Apply bytes without re-converging.
+// restore the exact pre-Apply cell without re-converging.
 type undoCell struct {
 	idx int32
 	e   entry
@@ -364,10 +391,10 @@ type undoCell struct {
 // to *log, oldest first. Returns false when the round cap was hit before
 // quiescence — the caller must then recompute the column cold, which keeps
 // malformed (non-converging) topologies bit-identical to the cold oracle.
-func (e *engine) reconvergeColumn(p int, col []entry, st *convState, seeds []int32, log *[]undoCell) bool {
+func (e *engine) reconvergeColumn(p int, col *column, st *convState, seeds []int32, log *[]undoCell) bool {
 	st.updates = st.updates[:0]
 	for _, i := range seeds {
-		if ne, changed := e.selectBest(i, p, col, &st.arena); changed {
+		if ne, changed := e.selectBest(i, p, col); changed {
 			st.updates = append(st.updates, colUpdate{idx: i, e: ne})
 		}
 	}
@@ -380,8 +407,8 @@ func (e *engine) reconvergeColumn(p int, col []entry, st *convState, seeds []int
 		// semantics as convergePrefix, just seeded from mid-flight state.
 		st.changed = st.changed[:0]
 		for _, u := range st.updates {
-			*log = append(*log, undoCell{idx: u.idx, e: col[u.idx]})
-			col[u.idx] = u.e
+			*log = append(*log, undoCell{idx: u.idx, e: col.cells[u.idx]})
+			col.set(u.idx, u.e)
 			st.changed = append(st.changed, u.idx)
 		}
 		st.queue = st.queue[:0]
@@ -396,7 +423,7 @@ func (e *engine) reconvergeColumn(p int, col []entry, st *convState, seeds []int
 		st.updates = st.updates[:0]
 		for _, i := range st.queue {
 			st.inQueue[i] = false
-			if ne, changed := e.selectBest(i, p, col, &st.arena); changed {
+			if ne, changed := e.selectBest(i, p, col); changed {
 				st.updates = append(st.updates, colUpdate{idx: i, e: ne})
 			}
 		}
@@ -406,34 +433,37 @@ func (e *engine) reconvergeColumn(p int, col []entry, st *convState, seeds []int
 
 // coldColumn recomputes column p from scratch, first logging every cell —
 // empty ones included, since the recompute may fill them and the caller's
-// undo log must restore the exact pre-Apply state — and zeroing the column.
-// Used when incremental re-convergence is not trusted (unsafe topology
-// before or after the delta) or gave up (round cap).
-func (e *engine) coldColumn(p int, col []entry, st *convState, log *[]undoCell) {
-	for i := range col {
-		*log = append(*log, undoCell{idx: int32(i), e: col[i]})
-		col[i] = entry{}
+// undo log must restore the exact pre-Apply state — and zeroing the cells.
+// The recompute appends fresh nodes to the arena; the old ones stay intact
+// for the logged cells until Revert truncates the arena. Used when
+// incremental re-convergence is not trusted (unsafe topology before or
+// after the delta) or gave up (round cap).
+func (e *engine) coldColumn(p int, col *column, st *convState, log *[]undoCell) {
+	for i := range col.cells {
+		*log = append(*log, undoCell{idx: int32(i), e: col.cells[i]})
+		col.cells[i] = entry{}
 	}
+	col.reach = 0
 	e.convergePrefix(p, col, st)
 }
 
 // selectBest recomputes AS i's selection for prefix p from the current
 // column and reports whether it differs from the incumbent entry. A best
 // candidate is tracked as (relationship, length, tail) where the full path
-// is self consed onto tail; the origin candidate has a nil tail. A node is
-// allocated only when the selection actually changed.
-func (e *engine) selectBest(i int32, p int, col []entry, arena *nodeArena) (entry, bool) {
-	self := e.asns[i]
+// is self consed onto tail; the origin candidate has the sentinel tail 0. A
+// node is allocated only when the selection actually changed.
+func (e *engine) selectBest(i int32, p int, col *column) (entry, bool) {
 	var bestRel Relationship
 	var bestLen int32
-	var bestTail *pathNode
+	var bestTail uint32
 	has := false
 	if e.originates(p, i) {
-		bestRel, bestLen, bestTail, has = Origin, 1, nil, true
+		bestRel, bestLen, bestTail, has = Origin, 1, 0, true
 	}
+	cells := col.cells
 	for _, ed := range e.nbr[i] {
-		ne := &col[ed.idx]
-		if ne.head == nil {
+		ne := &cells[ed.idx]
+		if ne.head == 0 {
 			continue
 		}
 		// Export policy from the neighbor's side: we receive everything if
@@ -443,42 +473,43 @@ func (e *engine) selectBest(i int32, p int, col []entry, arena *nodeArena) (entr
 			continue
 		}
 		// Loop prevention: reject paths already containing us.
-		if chainContains(ne.head, self) {
+		if col.contains(ne.head, i) {
 			continue
 		}
 		candLen := ne.plen + 1
-		if has && !candBetter(ed.rel, candLen, ne.head, bestRel, bestLen, bestTail) {
+		if has && !col.candBetter(ed.rel, candLen, ne.head, bestRel, bestLen, bestTail) {
 			continue
 		}
 		bestRel, bestLen, bestTail, has = ed.rel, candLen, ne.head, true
 	}
-	old := &col[i]
+	old := &cells[i]
 	if !has {
-		return entry{}, old.head != nil
+		return entry{}, old.head != 0
 	}
-	if old.head != nil && old.learned == bestRel && old.plen == bestLen &&
-		chainEqual(old.head.next, bestTail) {
+	if old.head != 0 && old.learned == bestRel && old.plen == bestLen &&
+		col.equal(col.nodes[old.head].next, bestTail) {
 		return *old, false
 	}
-	return entry{head: arena.alloc(self, bestTail), plen: bestLen, learned: bestRel}, true
+	return entry{head: col.alloc(i, bestTail), plen: bestLen, learned: bestRel}, true
 }
 
 // candBetter reports whether candidate a should replace incumbent b under
 // the standard decision order — higher local pref, then shorter path, then
 // lexicographically smaller path — mirroring better() in reference_test.go.
-// Both paths start with the same AS (self), so only the tails are compared.
-func candBetter(aRel Relationship, aLen int32, aTail *pathNode, bRel Relationship, bLen int32, bTail *pathNode) bool {
+// Both paths start with the same AS (self), so only the tails are compared;
+// dense indices ascend with ASN, so comparing hop indices compares ASNs.
+func (c *column) candBetter(aRel Relationship, aLen int32, aTail uint32, bRel Relationship, bLen int32, bTail uint32) bool {
 	if aRel != bRel {
 		return aRel > bRel
 	}
 	if aLen != bLen {
 		return aLen < bLen
 	}
-	for aTail != nil && bTail != nil {
-		if aTail.asn != bTail.asn {
-			return aTail.asn < bTail.asn
+	for aTail != 0 && bTail != 0 {
+		if c.nodes[aTail].as != c.nodes[bTail].as {
+			return c.nodes[aTail].as < c.nodes[bTail].as
 		}
-		aTail, bTail = aTail.next, bTail.next
+		aTail, bTail = c.nodes[aTail].next, c.nodes[bTail].next
 	}
 	return false
 }
@@ -501,10 +532,11 @@ func candBetter(aRel Relationship, aLen int32, aTail *pathNode, bRel Relationshi
 //
 // The independent per-prefix fixpoints fan out across at most workers
 // goroutines (workers <= 0 means GOMAXPROCS; 1 runs serially on the calling
-// goroutine). Every prefix's column is self-contained and lands at its own
-// table offset, so the result is bit-identical for every worker count. When
-// many scenarios already run in parallel (the sweep entry points), pass 1 to
-// avoid oversubscription. ctx is checked between prefix columns; on
+// goroutine). Every prefix's column is self-contained — its cells, path
+// arena and reach counter are written only by its own fixpoint — so the
+// result is bit-identical for every worker count. When many scenarios
+// already run in parallel (the sweep entry points), pass 1 to avoid
+// oversubscription. ctx is checked between prefix columns; on
 // cancellation the partially-converged tables are discarded and ctx.Err()
 // is returned.
 func (t *Topology) ConvergeCtx(ctx context.Context, workers int) (*RoutingTables, error) {
@@ -552,7 +584,7 @@ func (e *engine) convergeAllCtx(ctx context.Context, rt *RoutingTables, workers 
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			e.convergePrefix(p, rt.entries[p*nAS:(p+1)*nAS], st)
+			e.convergePrefix(p, &rt.cols[p], st)
 		}
 		return nil
 	}
@@ -568,7 +600,7 @@ func (e *engine) convergeAllCtx(ctx context.Context, rt *RoutingTables, workers 
 			hi = nP
 		}
 		for p := ci * chunk; p < hi; p++ {
-			e.convergePrefix(p, rt.entries[p*nAS:(p+1)*nAS], st)
+			e.convergePrefix(p, &rt.cols[p], st)
 		}
 		pool.Put(st)
 		return nil

@@ -154,8 +154,10 @@ func BenchmarkDeltaWithdraw(b *testing.B) {
 		victim := h.OriginStubs[0]
 		d := Delta{Kind: DeltaWithdraw, A: victim, Prefix: fmt.Sprintf("pfx-%d", victim)}
 		c := mustConvergeState(h.Topo, 1)
-		// One warm-up apply/revert: the first pays one-time arena growth,
-		// which would dominate a single-iteration (BENCHTIME=1x) gate run.
+		// One warm-up apply/revert: the first grows the column's path arena
+		// and the scratch queues; Revert truncates the arena but keeps its
+		// capacity, so later iterations append into it without allocating.
+		// The growth would dominate a single-iteration (BENCHTIME=1x) run.
 		if p, err := c.Apply(d); err != nil {
 			b.Fatal(err)
 		} else {

@@ -299,32 +299,31 @@ func RunHijackSweepOpts(o HierarchyOpts, seed uint64, workers int) ([]HijackRow,
 
 // hijackSweepRows converges the base once and measures each attacker as an
 // incremental announce of the victim's prefix, reverted after measuring.
+// Captures are counted straight off the prefix column: the last hop of a
+// cell's chain is the origin its route leads to.
 func hijackSweepRows(ctx context.Context, h *Hierarchy, victim ASN, workers int) ([]HijackRow, error) {
 	prefix := fmt.Sprintf("pfx-%d", victim)
 	c, err := h.Topo.ConvergeStateCtx(ctx, workers)
 	if err != nil {
 		return nil, err
 	}
-	asns := h.Topo.ASNs()
+	vi := c.rt.asIdx[victim]
 	return sweepRows(ctx, h, victim, func(kind string, attacker ASN) (HijackRow, error) {
 		//humnet:allow ctxflow -- announce+revert must run to completion or the undo log is left inconsistent; ctx is honoured between sweep events
 		p, err := c.Apply(Delta{Kind: DeltaAnnounce, A: attacker, Prefix: prefix})
 		if err != nil {
 			return HijackRow{}, err
 		}
-		rt := c.Tables()
+		ai := c.rt.asIdx[attacker]
+		col := &c.rt.cols[c.rt.pfxIdx[prefix]]
 		row := HijackRow{AttackerKind: kind, AttackerASN: attacker}
 		total := 0
-		for _, n := range asns {
-			if n == victim || n == attacker {
-				continue
-			}
-			path := rt.Path(n, prefix)
-			if path == nil {
+		for i, en := range col.cells {
+			if int32(i) == vi || int32(i) == ai || en.head == 0 {
 				continue
 			}
 			total++
-			if path[len(path)-1] == attacker {
+			if col.origin(en.head) == ai {
 				row.Captured++
 			}
 		}

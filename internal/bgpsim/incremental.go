@@ -3,12 +3,15 @@ package bgpsim
 // Incremental re-convergence. The paper's routing case studies are deltas on
 // a stable world — one ASN re-shuffled, one leaker appearing, one prefix
 // hijacked — so re-running the full fixpoint per event wastes almost all of
-// its work. ConvergeStateCtx keeps the compiled engine, the node arenas, and
-// the dense tables alive; Apply patches the compiled form in place and
-// re-converges only the affected prefix columns, seeding the change-driven
-// work queue from the frontier of ASes whose inputs the delta touched
-// instead of from every origin; Revert restores the exact pre-Apply state
-// from a sparse undo log without re-converging at all.
+// its work. ConvergeStateCtx keeps the compiled engine and the dense
+// columns (cells, path arenas, reach counters) alive; Apply patches the
+// compiled form in place and re-converges only the affected prefix columns,
+// seeding the change-driven work queue from the frontier of ASes whose
+// inputs the delta touched instead of from every origin; Revert restores the
+// exact pre-Apply state from a sparse undo log without re-converging at all:
+// it rewrites the logged cells and truncates each touched arena back to its
+// recorded length, so the state is index-exactly the one before the Apply
+// and the arena capacity is reused by the next Apply.
 //
 // Contract: after every Apply, the live tables are observably identical
 // (Route/Path/Prefixes on every AS) to a cold ConvergeCtx of the mutated
@@ -164,15 +167,18 @@ func (t *Topology) ApplyDelta(d Delta) error {
 	return nil
 }
 
-// patchCol is the sparse undo log of one re-converged prefix column:
-// every overwritten cell's previous value, oldest first.
+// patchCol is the undo record of one re-converged prefix column: its arena
+// length before the Apply and every overwritten cell's previous value,
+// oldest first.
 type patchCol struct {
-	p   int32
-	log []undoCell
+	p     int32
+	nodes int
+	log   []undoCell
 }
 
 // Patch records everything needed to undo one Apply: the delta itself (its
-// inverse undoes the structural mutation) and the overwritten table cells.
+// inverse undoes the structural mutation), the overwritten table cells, and
+// the pre-Apply arena length of every touched column.
 // Patches are strictly LIFO: only the most recent unreverted patch may be
 // reverted.
 type Patch struct {
@@ -281,20 +287,21 @@ func (c *Converged) applyScoped(d Delta, scope []int32) (*Patch, error) {
 }
 
 // Revert undoes the most recent unreverted Apply: replays the undo log in
-// reverse (restoring the exact pre-Apply table bytes, shared path chains
-// included) and applies the inverse delta to the topology and compiled
-// engine. Patches are LIFO; reverting out of order panics.
+// reverse (restoring the exact pre-Apply cells, reach counters included),
+// truncates every touched arena to its pre-Apply length (so chain indices
+// are restored exactly), and applies the inverse delta to the topology and
+// compiled engine. Patches are LIFO; reverting out of order panics.
 func (c *Converged) Revert(p *Patch) {
 	if p == nil || p.seq != c.applied {
 		panic("bgpsim: Converged.Revert: patches must be reverted in LIFO order")
 	}
-	nAS := len(c.e.asns)
 	for i := len(p.cols) - 1; i >= 0; i-- {
 		pc := &p.cols[i]
-		col := c.rt.entries[int(pc.p)*nAS : (int(pc.p)+1)*nAS]
+		col := &c.rt.cols[pc.p]
 		for j := len(pc.log) - 1; j >= 0; j-- {
-			col[pc.log[j].idx] = pc.log[j].e
+			col.set(pc.log[j].idx, pc.log[j].e)
 		}
+		col.nodes = col.nodes[:pc.nodes]
 	}
 	if _, err := c.applyStructural(p.delta.inverse()); err != nil {
 		// The inverse of a validated, applied delta always applies.
@@ -408,10 +415,11 @@ func (c *Converged) affected(d Delta) (cols []int32, seeds []int32) {
 }
 
 // reconverge re-runs the fixpoint on the given columns (nil = all) from the
-// seed frontier, recording every overwritten cell into the patch. When safe
-// (see Apply), columns continue from the live tables; otherwise — and for
-// any column whose seeded fixpoint hit the round cap — they are recomputed
-// cold (see the package comment for why that preserves cold-identity).
+// seed frontier, recording every overwritten cell and each touched column's
+// prior arena length into the patch. When safe (see Apply), columns
+// continue from the live tables; otherwise — and for any column whose
+// seeded fixpoint hit the round cap — they are recomputed cold (see the
+// package comment for why that preserves cold-identity).
 func (c *Converged) reconverge(p *Patch, cols []int32, seeds []int32, safe bool) {
 	e, rt := c.e, c.rt
 	nAS, nP := len(e.asns), len(e.prefixes)
@@ -424,25 +432,25 @@ func (c *Converged) reconverge(p *Patch, cols []int32, seeds []int32, safe bool)
 			cols[i] = int32(i)
 		}
 	}
-	run := func(pi int32, st *convState) []undoCell {
-		var log []undoCell
-		col := rt.entries[int(pi)*nAS : (int(pi)+1)*nAS]
-		if !safe || !e.reconvergeColumn(int(pi), col, st, seeds, &log) {
-			e.coldColumn(int(pi), col, st, &log)
+	run := func(pi int32, st *convState) patchCol {
+		col := &rt.cols[pi]
+		pc := patchCol{p: pi, nodes: len(col.nodes)}
+		if !safe || !e.reconvergeColumn(int(pi), col, st, seeds, &pc.log) {
+			e.coldColumn(int(pi), col, st, &pc.log)
 		}
-		return log
+		return pc
 	}
 
-	logs := make([][]undoCell, len(cols))
+	pcs := make([]patchCol, len(cols))
 	w := parallel.Workers(c.workers, len(cols))
 	if w == 1 || nAS*len(cols) < serialWorkFloor {
 		for i, pi := range cols {
-			logs[i] = run(pi, c.st)
+			pcs[i] = run(pi, c.st)
 		}
 	} else {
 		chunk := convergeChunks(len(cols), w)
 		nChunks := (len(cols) + chunk - 1) / chunk
-		chunkLogs := make([][][]undoCell, nChunks) // each task writes only its own index
+		chunkPcs := make([][]patchCol, nChunks) // each task writes only its own index
 		pool := sync.Pool{New: func() any {
 			return &convState{inQueue: make([]bool, nAS)}
 		}}
@@ -452,24 +460,27 @@ func (c *Converged) reconverge(p *Patch, cols []int32, seeds []int32, safe bool)
 			if hi > len(cols) {
 				hi = len(cols)
 			}
-			out := make([][]undoCell, 0, hi-lo)
+			out := make([]patchCol, 0, hi-lo)
 			for i := lo; i < hi; i++ {
 				out = append(out, run(cols[i], st))
 			}
-			chunkLogs[ci] = out
+			chunkPcs[ci] = out
 			pool.Put(st)
 			return nil
 		})
 		if err != nil {
 			panic(err) // only worker panics can land here; re-raise
 		}
-		for ci, outs := range chunkLogs {
-			copy(logs[ci*chunk:], outs)
+		for ci, outs := range chunkPcs {
+			copy(pcs[ci*chunk:], outs)
 		}
 	}
-	for i, pi := range cols {
-		if len(logs[i]) > 0 {
-			p.cols = append(p.cols, patchCol{p: pi, log: logs[i]})
+	// Keep every column that logged a cell or grew its arena: a cold or
+	// round-capped fixpoint can allocate nodes it never installs, and
+	// Revert must truncate those too.
+	for _, pc := range pcs {
+		if len(pc.log) > 0 || len(rt.cols[pc.p].nodes) > pc.nodes {
+			p.cols = append(p.cols, pc)
 		}
 	}
 }

@@ -47,23 +47,63 @@ func tablesEqualCold(c *Converged) error {
 	return nil
 }
 
-// snapshotEntries copies the raw table cells (shared path-chain pointers
-// included) so a revert can be checked for exact restoration, not just
-// observable equality.
-func snapshotEntries(rt *RoutingTables) []entry {
-	return append([]entry(nil), rt.entries...)
+// colSnap is a deep copy of one column: cells, path arena and reach count.
+type colSnap struct {
+	cells []entry
+	nodes []pathNode
+	reach int
 }
 
-func assertEntriesRestored(t *testing.T, label string, rt *RoutingTables, snap []entry) {
-	t.Helper()
-	if len(rt.entries) != len(snap) {
-		t.Fatalf("%s: %d cells after revert, want %d", label, len(rt.entries), len(snap))
-	}
-	for i := range snap {
-		if rt.entries[i] != snap[i] {
-			t.Fatalf("%s: cell %d = %+v after revert, want %+v (path chains must be pointer-identical)",
-				label, i, rt.entries[i], snap[i])
+// snapshotColumns copies the raw columns (cells with their chain-head
+// indices, and the arenas those index into) so a revert can be checked for
+// index-exact restoration, not just observable equality.
+func snapshotColumns(rt *RoutingTables) []colSnap {
+	out := make([]colSnap, len(rt.cols))
+	for i, col := range rt.cols {
+		out[i] = colSnap{
+			cells: append([]entry(nil), col.cells...),
+			nodes: append([]pathNode(nil), col.nodes...),
+			reach: col.reach,
 		}
+	}
+	return out
+}
+
+// columnsRestored reports the first way rt's columns differ from snap.
+func columnsRestored(rt *RoutingTables, snap []colSnap) error {
+	if len(rt.cols) != len(snap) {
+		return fmt.Errorf("%d columns, want %d", len(rt.cols), len(snap))
+	}
+	for p, want := range snap {
+		col := &rt.cols[p]
+		if len(col.nodes) != len(want.nodes) {
+			return fmt.Errorf("column %d: arena length %d, want %d", p, len(col.nodes), len(want.nodes))
+		}
+		for i := range want.nodes {
+			if col.nodes[i] != want.nodes[i] {
+				return fmt.Errorf("column %d: node %d = %+v, want %+v", p, i, col.nodes[i], want.nodes[i])
+			}
+		}
+		if len(col.cells) != len(want.cells) {
+			return fmt.Errorf("column %d: %d cells, want %d", p, len(col.cells), len(want.cells))
+		}
+		for i := range want.cells {
+			if col.cells[i] != want.cells[i] {
+				return fmt.Errorf("column %d: cell %d = %+v, want %+v (chain heads must be index-identical)",
+					p, i, col.cells[i], want.cells[i])
+			}
+		}
+		if col.reach != want.reach {
+			return fmt.Errorf("column %d: reach %d, want %d", p, col.reach, want.reach)
+		}
+	}
+	return nil
+}
+
+func assertColumnsRestored(t *testing.T, label string, rt *RoutingTables, snap []colSnap) {
+	t.Helper()
+	if err := columnsRestored(rt, snap); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
@@ -73,7 +113,7 @@ func TestIncrementalWithdrawBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mustConvergeState(h.Topo, 1)
-	base := snapshotEntries(c.Tables())
+	base := snapshotColumns(c.Tables())
 
 	victim := h.Stubs[5]
 	pfx := fmt.Sprintf("pfx-%d", victim)
@@ -93,7 +133,7 @@ func TestIncrementalWithdrawBitIdentical(t *testing.T) {
 	}
 
 	c.Revert(p)
-	assertEntriesRestored(t, "withdraw revert", c.Tables(), base)
+	assertColumnsRestored(t, "withdraw revert", c.Tables(), base)
 	if !h.Topo.hasOrigin(victim, pfx) {
 		t.Fatal("revert did not restore the origination")
 	}
@@ -106,7 +146,7 @@ func TestIncrementalAnnounceNewPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mustConvergeState(h.Topo, 1)
-	base := snapshotEntries(c.Tables())
+	base := snapshotColumns(c.Tables())
 	basePrefixes := c.Tables().Prefixes(h.Tier1[0])
 
 	// "pfx-0zzz" sorts before every "pfx-1xxx" stub prefix, so the spliced
@@ -123,7 +163,7 @@ func TestIncrementalAnnounceNewPrefix(t *testing.T) {
 	assertTablesMatchCold(t, "after announce", c)
 
 	c.Revert(p)
-	assertEntriesRestored(t, "announce revert", c.Tables(), base)
+	assertColumnsRestored(t, "announce revert", c.Tables(), base)
 	if c.Tables().Reachable(mid, "pfx-0zzz") {
 		t.Fatal("new prefix survived revert")
 	}
@@ -136,7 +176,7 @@ func TestIncrementalLinkFlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mustConvergeState(h.Topo, 1)
-	base := snapshotEntries(c.Tables())
+	base := snapshotColumns(c.Tables())
 
 	// Down one stub's transit link, then add a rescue peering, strictly LIFO.
 	stub := h.Stubs[3]
@@ -155,7 +195,7 @@ func TestIncrementalLinkFlap(t *testing.T) {
 
 	c.Revert(p2)
 	c.Revert(p1)
-	assertEntriesRestored(t, "link flap revert", c.Tables(), base)
+	assertColumnsRestored(t, "link flap revert", c.Tables(), base)
 	if !h.Topo.HasProviderCustomer(provider, stub) || h.Topo.HasPeer(stub, h.Stubs[4]) {
 		t.Fatal("revert did not restore the link set")
 	}
@@ -167,7 +207,7 @@ func TestIncrementalLeakToggle(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mustConvergeState(h.Topo, 1)
-	base := snapshotEntries(c.Tables())
+	base := snapshotColumns(c.Tables())
 
 	// Any leaker voids the unique-fixpoint guarantee (see incrementalSafe),
 	// so these applies exercise the cold-column fallback and must still
@@ -193,7 +233,7 @@ func TestIncrementalLeakToggle(t *testing.T) {
 	c.Revert(p2)
 	assertTablesMatchCold(t, "back to one leaker", c)
 	c.Revert(p1)
-	assertEntriesRestored(t, "leak toggle revert", c.Tables(), base)
+	assertColumnsRestored(t, "leak toggle revert", c.Tables(), base)
 	if h.Topo.IsLeaker(h.Mids[1]) {
 		t.Fatal("revert left the leaker flag set")
 	}
@@ -232,7 +272,7 @@ func TestIncrementalApplyErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mustConvergeState(h.Topo, 1)
-	base := snapshotEntries(c.Tables())
+	base := snapshotColumns(c.Tables())
 	stub := h.Stubs[0]
 	pfx := fmt.Sprintf("pfx-%d", stub)
 	provider := providersOf(h.Topo, stub)[0]
@@ -259,7 +299,7 @@ func TestIncrementalApplyErrors(t *testing.T) {
 		}
 	}
 	// Failed applies must leave no trace.
-	assertEntriesRestored(t, "after rejected deltas", c.Tables(), base)
+	assertColumnsRestored(t, "after rejected deltas", c.Tables(), base)
 	assertTablesMatchCold(t, "after rejected deltas", c)
 }
 
@@ -450,7 +490,7 @@ func TestPropIncrementalMatchesCold(t *testing.T) {
 					return fmt.Errorf("building topology: %w", err)
 				}
 				c := mustConvergeState(topo, w)
-				base := snapshotEntries(c.Tables())
+				base := snapshotColumns(c.Tables())
 				var stack []*Patch
 				extra := 0
 				steps := g.IntRange(3, 8)
@@ -479,14 +519,8 @@ func TestPropIncrementalMatchesCold(t *testing.T) {
 					c.Revert(stack[len(stack)-1])
 					stack = stack[:len(stack)-1]
 				}
-				live := c.Tables()
-				if len(live.entries) != len(base) {
-					return fmt.Errorf("%d cells after unwind, want %d", len(live.entries), len(base))
-				}
-				for i := range base {
-					if live.entries[i] != base[i] {
-						return fmt.Errorf("cell %d differs after full unwind", i)
-					}
+				if err := columnsRestored(c.Tables(), base); err != nil {
+					return fmt.Errorf("after full unwind: %w", err)
 				}
 				return nil
 			})
@@ -495,7 +529,7 @@ func TestPropIncrementalMatchesCold(t *testing.T) {
 }
 
 // TestPropApplyRevertRestoresTables drives a single random delta per case
-// and checks exact (pointer-level) restoration, the cheapest high-yield
+// and checks exact (index-level) restoration, the cheapest high-yield
 // slice of the oracle above.
 func TestPropApplyRevertRestoresTables(t *testing.T) {
 	proptest.Run(t, 309, 40, func(g *proptest.G) error {
@@ -505,7 +539,7 @@ func TestPropApplyRevertRestoresTables(t *testing.T) {
 			return fmt.Errorf("building topology: %w", err)
 		}
 		c := mustConvergeState(topo, 1)
-		base := snapshotEntries(c.Tables())
+		base := snapshotColumns(c.Tables())
 		baseText := FormatTopology(topo)
 		extra := 0
 		d, ok := randomDelta(g, c, mids, stubs, &extra)
@@ -520,14 +554,8 @@ func TestPropApplyRevertRestoresTables(t *testing.T) {
 		if got := FormatTopology(topo); got != baseText {
 			return fmt.Errorf("revert of %+v did not restore the topology:\n%s", d, got)
 		}
-		live := c.Tables()
-		if len(live.entries) != len(base) {
-			return fmt.Errorf("%d cells after revert, want %d", len(live.entries), len(base))
-		}
-		for i := range base {
-			if live.entries[i] != base[i] {
-				return fmt.Errorf("delta %+v: cell %d not restored exactly", d, i)
-			}
+		if err := columnsRestored(c.Tables(), base); err != nil {
+			return fmt.Errorf("delta %+v: %w", d, err)
 		}
 		return nil
 	})

@@ -42,20 +42,23 @@ func BlastRadius(rt *RoutingTables, leaker ASN, prefix string) (affected []ASN, 
 	if !ok {
 		return nil, 0
 	}
-	col := rt.entries[int(pi)*len(rt.asns) : (int(pi)+1)*len(rt.asns)]
+	li, ok := rt.asIdx[leaker]
+	if !ok {
+		li = -1 // on no path
+	}
+	col := &rt.cols[pi]
 	// Dense indices are ascending ASNs, so affected comes out sorted.
-	for i := range col {
-		en := &col[i]
-		if en.head == nil {
+	for i := range col.cells {
+		en := &col.cells[i]
+		if en.head == 0 {
 			continue
 		}
 		reachable++
-		n := rt.asns[i]
-		if n == leaker {
+		if int32(i) == li {
 			continue
 		}
-		if chainContains(en.head.next, leaker) { // skip self hop
-			affected = append(affected, n)
+		if col.contains(col.nodes[en.head].next, li) { // skip self hop
+			affected = append(affected, rt.asns[i])
 		}
 	}
 	return affected, reachable

@@ -14,7 +14,7 @@ import (
 )
 
 // BenchmarkReplayFlapStorm: a single BGP machine replaying a generated flap
-// storm. Unwind restores the converged state pointer-exactly between
+// storm. Unwind restores the converged state index-exactly between
 // iterations, so each iteration replays against identical initial tables
 // without paying a re-convergence.
 func BenchmarkReplayFlapStorm(b *testing.B) {

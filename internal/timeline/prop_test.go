@@ -24,7 +24,8 @@ import (
 //     are cell-identical to a cold convergence of the mutated topology
 //     (extending bgpsim's per-delta oracle to whole streams, PR 7 pattern);
 //   - revert: unwinding a replayed machine restores the pre-replay state
-//     pointer-exactly, as certified by the chain-head fingerprint.
+//     index-exactly, as certified by the state fingerprint (cells with
+//     their chain-head indices, and every column's arena length).
 
 // worldSpec describes a rebuildable BGP world plus one generated stream over
 // it. Building from a seed (rather than drawing the topology edge by edge)
@@ -184,10 +185,11 @@ func TestPropIncrementalMatchesColdEveryTick(t *testing.T) {
 	})
 }
 
-// TestPropUnwindRestoresStatePointerExactly: after a full replay, reverting
+// TestPropUnwindRestoresStateIndexExactly: after a full replay, reverting
 // every patch in LIFO order restores the converged state — tables, applied
-// depth, and shared path-chain heads — to the pre-replay fingerprint.
-func TestPropUnwindRestoresStatePointerExactly(t *testing.T) {
+// depth, path-chain head indices and arena lengths — to the pre-replay
+// fingerprint.
+func TestPropUnwindRestoresStateIndexExactly(t *testing.T) {
 	proptest.Run(t, 904, 20, func(g *proptest.G) error {
 		w := drawWorldSpec(g)
 		h, stream, err := w.build()
