@@ -78,17 +78,20 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) ./internal/textproc
 	$(GO) test -run '^$$' -fuzz '^FuzzStem$$' -fuzztime $(FUZZTIME) ./internal/textproc
 
-# Regenerate every experiment table (E1-E14) alongside timing.
+# Time every benchmark in the root package: BenchmarkScenario/<ID> runs each
+# registered scenario once per iteration (the tables themselves come from
+# `make report`), plus the graph and bootstrap Serial/Parallel pairs.
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Record the routing-engine + E1-E10 benchmark baseline into
-# BENCH_bgpsim.json (ns/op, B/op, allocs/op per benchmark) and the timeline
-# replay baseline into BENCH_timeline.json (plus events/sec and cells/event
-# custom metrics for the flap-storm and composed replays). The baselines are
-# committed; re-run after perf-relevant changes and diff. BENCHTIME=1x gives
-# a quick single-iteration snapshot. BENCHREGEXP covers the engine scales,
-# the incremental-vs-cold delta pair, and the event-driven sweep pairs.
+# Record three committed baselines (ns/op, B/op, allocs/op per benchmark):
+# the routing engine into BENCH_bgpsim.json, every registered scenario
+# (BenchmarkScenario/<ID>) into BENCH_scenarios.json, and the timeline replays
+# into BENCH_timeline.json (plus events/sec and cells/event custom metrics for
+# the flap-storm and composed replays). Re-run after perf-relevant changes and
+# diff. BENCHTIME=1x gives a quick single-iteration snapshot. BENCHREGEXP
+# covers the engine scales, the incremental-vs-cold delta pair, and the
+# event-driven sweep pairs.
 BENCHTIME ?= 1s
 BENCHREGEXP = ^(BenchmarkConverge|BenchmarkDelta|BenchmarkSweep|BenchmarkLeakSweepEndToEnd|BenchmarkRunLeakSweep)
 TIMELINEREGEXP = ^(BenchmarkReplayFlapStorm|BenchmarkComposedReplay)$$
@@ -96,9 +99,12 @@ bench-json:
 	@tmp=$$(mktemp); \
 	$(GO) test -run '^$$' -bench '$(BENCHREGEXP)' \
 		-benchmem -benchtime $(BENCHTIME) ./internal/bgpsim >>$$tmp || { rm -f $$tmp; exit 1; }; \
-	$(GO) test -run '^$$' -bench '^BenchmarkE([1-9]|10)[A-Z]' \
-		-benchmem -benchtime $(BENCHTIME) . >>$$tmp || { rm -f $$tmp; exit 1; }; \
 	$(GO) run ./cmd/benchjson -out BENCH_bgpsim.json <$$tmp; \
+	rm -f $$tmp
+	@tmp=$$(mktemp); \
+	$(GO) test -run '^$$' -bench '^BenchmarkScenario$$' \
+		-benchmem -benchtime $(BENCHTIME) . >>$$tmp || { rm -f $$tmp; exit 1; }; \
+	$(GO) run ./cmd/benchjson -out BENCH_scenarios.json <$$tmp; \
 	rm -f $$tmp
 	@tmp=$$(mktemp); \
 	$(GO) test -run '^$$' -bench '$(TIMELINEREGEXP)' \
@@ -107,17 +113,22 @@ bench-json:
 	rm -f $$tmp
 
 # Re-run the same benchmarks and gate them against the committed baselines:
-# any benchmark whose ns/op regressed more than MAXREGRESS percent fails.
-# Benchmarks that exist on only one side (added/retired) are reported, never
-# fatal. CI runs this with a looser threshold to absorb shared-runner noise.
+# any benchmark whose ns/op regressed more than MAXREGRESS percent fails, and
+# so does a baseline row the run no longer produces. A benchmark with no
+# baseline row yet is reported, never fatal. CI runs this with a looser
+# threshold to absorb shared-runner noise.
 MAXREGRESS ?= 25
 bench-gate:
 	@tmp=$$(mktemp); \
 	$(GO) test -run '^$$' -bench '$(BENCHREGEXP)' \
 		-benchmem -benchtime $(BENCHTIME) ./internal/bgpsim >>$$tmp || { rm -f $$tmp; exit 1; }; \
-	$(GO) test -run '^$$' -bench '^BenchmarkE([1-9]|10)[A-Z]' \
-		-benchmem -benchtime $(BENCHTIME) . >>$$tmp || { rm -f $$tmp; exit 1; }; \
 	$(GO) run ./cmd/benchjson -compare BENCH_bgpsim.json -max-regress $(MAXREGRESS) <$$tmp \
+		|| { rm -f $$tmp; exit 1; }; \
+	rm -f $$tmp
+	@tmp=$$(mktemp); \
+	$(GO) test -run '^$$' -bench '^BenchmarkScenario$$' \
+		-benchmem -benchtime $(BENCHTIME) . >>$$tmp || { rm -f $$tmp; exit 1; }; \
+	$(GO) run ./cmd/benchjson -compare BENCH_scenarios.json -max-regress $(MAXREGRESS) <$$tmp \
 		|| { rm -f $$tmp; exit 1; }; \
 	rm -f $$tmp
 	@tmp=$$(mktemp); \

@@ -125,12 +125,13 @@ func parseBenchOutput(r io.Reader) (Baseline, error) {
 }
 
 // compareBaselines checks cur against base benchmark-by-benchmark on ns/op.
-// It returns a human-readable report (one line per matched benchmark, worst
-// regressions flagged) and whether any matched benchmark regressed beyond
-// maxRegressPct. Benchmarks present on only one side are reported but do not
-// fail the gate: new benchmarks have no baseline yet and retired ones no
-// longer matter.
-func compareBaselines(cur, base Baseline, maxRegressPct float64) (report []string, regressed bool) {
+// It returns a human-readable report (one line per benchmark) and whether the
+// gate fails: a matched benchmark regressed beyond maxRegressPct, or a
+// baseline benchmark is missing from cur. A benchmark only in cur is reported
+// but not fatal, since it has no baseline yet; a missing one would otherwise
+// drop out of the gate unnoticed, so retiring a row means deleting it from the
+// baseline.
+func compareBaselines(cur, base Baseline, maxRegressPct float64) (report []string, failed bool) {
 	baseByName := make(map[string]Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseByName[b.Name] = b
@@ -151,15 +152,16 @@ func compareBaselines(cur, base Baseline, maxRegressPct float64) (report []strin
 		verdict := "ok"
 		if deltaPct > maxRegressPct {
 			verdict = "REGRESS"
-			regressed = true
+			failed = true
 		}
 		report = append(report, fmt.Sprintf("%-8s %-50s %12.0f -> %12.0f ns/op (%+.1f%%)",
 			verdict, c.Name, b.NsPerOp, c.NsPerOp, deltaPct))
 	}
 	for _, b := range base.Benchmarks {
 		if !matched[b.Name] {
-			report = append(report, fmt.Sprintf("missing  %-50s in baseline only", b.Name))
+			report = append(report, fmt.Sprintf("MISSING  %-50s in baseline only", b.Name))
+			failed = true
 		}
 	}
-	return report, regressed
+	return report, failed
 }

@@ -1,14 +1,16 @@
 // Command benchjson converts `go test -bench` output on stdin into a stable
 // JSON benchmark baseline (name, iterations, ns/op, B/op, allocs/op per
 // benchmark). It is the backend of `make bench-json`, which records the
-// bgpsim engine + E1–E10 experiment benchmarks into BENCH_bgpsim.json so the
-// repo's perf trajectory is tracked in-tree.
+// bgpsim engine benchmarks into BENCH_bgpsim.json, every registered scenario
+// (BenchmarkScenario/<ID>) into BENCH_scenarios.json, and the timeline
+// replays into BENCH_timeline.json, so the repo's perf trajectory is tracked
+// in-tree.
 //
 // With -compare it becomes a regression gate instead: the fresh results on
-// stdin are checked against a committed baseline, and any benchmark whose
-// ns/op regressed more than -max-regress percent fails the run (exit 1).
-// Benchmarks present on only one side are reported but never fatal, so
-// adding or retiring benchmarks does not wedge the gate.
+// stdin are checked against a committed baseline, and the run fails (exit 1)
+// if any benchmark's ns/op regressed more than -max-regress percent or any
+// baseline benchmark is missing from the run. A benchmark with no baseline
+// row yet is reported but not fatal; retiring one means deleting its row.
 //
 // Usage:
 //
@@ -49,12 +51,12 @@ func main() {
 		if err := json.Unmarshal(buf, &base); err != nil {
 			log.Fatalf("parsing baseline %s: %v", *compare, err)
 		}
-		report, regressed := compareBaselines(cur, base, *maxRegress)
+		report, failed := compareBaselines(cur, base, *maxRegress)
 		for _, line := range report {
 			fmt.Println(line)
 		}
-		if regressed {
-			log.Fatalf("ns/op regressions above %g%% against %s", *maxRegress, *compare)
+		if failed {
+			log.Fatalf("ns/op regressions above %g%% or missing benchmarks against %s", *maxRegress, *compare)
 		}
 		fmt.Printf("ok: no benchmark regressed more than %g%% against %s\n", *maxRegress, *compare)
 		return

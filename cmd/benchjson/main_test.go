@@ -91,17 +91,32 @@ func TestComparePlantedRegression(t *testing.T) {
 	}
 }
 
-func TestCompareUnmatchedBenchmarksAreNotFatal(t *testing.T) {
-	base := mkBaseline(map[string]float64{"BenchmarkOld": 100, "BenchmarkShared": 100})
+// TestCompareNewBenchmarkIsNotFatal: a benchmark with no baseline row yet is
+// reported as new and does not fail the gate.
+func TestCompareNewBenchmarkIsNotFatal(t *testing.T) {
+	base := mkBaseline(map[string]float64{"BenchmarkShared": 100})
 	cur := mkBaseline(map[string]float64{"BenchmarkNew": 9e9, "BenchmarkShared": 100})
-	report, regressed := compareBaselines(cur, base, 25)
-	if regressed {
-		t.Fatalf("gate failed on add/retire churn:\n%s", strings.Join(report, "\n"))
-	}
+	report, failed := compareBaselines(cur, base, 25)
 	joined := strings.Join(report, "\n")
-	for _, want := range []string{"new", "missing", "BenchmarkNew", "BenchmarkOld"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("report missing %q:\n%s", want, joined)
-		}
+	if failed {
+		t.Fatalf("gate failed on a new benchmark:\n%s", joined)
+	}
+	if !strings.Contains(joined, "new") || !strings.Contains(joined, "BenchmarkNew") {
+		t.Errorf("report does not name the new benchmark:\n%s", joined)
+	}
+}
+
+// TestCompareMissingBenchmarkFails: a baseline row absent from the run fails
+// the gate, so renaming or deleting a benchmark cannot silently un-gate it.
+func TestCompareMissingBenchmarkFails(t *testing.T) {
+	base := mkBaseline(map[string]float64{"BenchmarkOld": 100, "BenchmarkShared": 100})
+	cur := mkBaseline(map[string]float64{"BenchmarkShared": 100})
+	report, failed := compareBaselines(cur, base, 25)
+	joined := strings.Join(report, "\n")
+	if !failed {
+		t.Fatalf("gate passed with a baseline row missing from the run:\n%s", joined)
+	}
+	if !strings.Contains(joined, "MISSING") || !strings.Contains(joined, "BenchmarkOld") {
+		t.Errorf("report does not name the missing benchmark:\n%s", joined)
 	}
 }

@@ -114,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	res := analysis.RunOpts(loader.Fset, pkgs, analyzers, analysis.Options{
+	res := analysis.Run(loader.Fset, pkgs, analyzers, analysis.Options{
 		Workers: *workers,
 		Cache:   cache,
 	})

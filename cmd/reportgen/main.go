@@ -90,29 +90,35 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var rendered []byte
-	if *jsonOut {
-		rendered, err = experiment.RenderJSON(results)
-		if err != nil {
-			return err
-		}
-	} else {
-		rendered = []byte(experiment.RenderMarkdown(results))
-	}
 	if *cacheStats {
 		st := runner.Stats()
 		if _, err := fmt.Fprintf(stderr, "cache: %d hits, %d misses\n", st.Hits, st.Misses); err != nil {
 			return err
 		}
 	}
-	if *out != "" {
-		if err := os.WriteFile(*out, rendered, 0o644); err != nil {
+	return emit(results, *jsonOut, *out, stdout)
+}
+
+// emit renders results as JSON or Markdown and writes them to out, or to
+// stdout when out is empty.
+func emit(results []*experiment.Result, jsonOut bool, out string, stdout io.Writer) error {
+	var rendered []byte
+	if jsonOut {
+		var err error
+		if rendered, err = experiment.RenderJSON(results); err != nil {
 			return err
 		}
-		_, err := fmt.Fprintf(stdout, "wrote %s\n", *out)
+	} else {
+		rendered = []byte(experiment.RenderMarkdown(results))
+	}
+	if out == "" {
+		_, err := stdout.Write(rendered)
 		return err
 	}
-	_, err = stdout.Write(rendered)
+	if err := os.WriteFile(out, rendered, 0o644); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(stdout, "wrote %s\n", out)
 	return err
 }
 
@@ -144,25 +150,7 @@ func runTimeline(path string, workers int, jsonOut bool, out string, stdout io.W
 	}
 	res := &experiment.Result{ID: "timeline", Title: fmt.Sprintf("Timeline replay: %s", filepath.Base(path))}
 	series.Table(res, "timeline", res.Title)
-
-	var rendered []byte
-	if jsonOut {
-		rendered, err = experiment.RenderJSON([]*experiment.Result{res})
-		if err != nil {
-			return err
-		}
-	} else {
-		rendered = []byte(experiment.RenderMarkdown([]*experiment.Result{res}))
-	}
-	if out != "" {
-		if err := os.WriteFile(out, rendered, 0o644); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(stdout, "wrote %s\n", out)
-		return err
-	}
-	_, err = stdout.Write(rendered)
-	return err
+	return emit([]*experiment.Result{res}, jsonOut, out, stdout)
 }
 
 // selectScenarios resolves the -only filter against the registry: empty

@@ -9,7 +9,8 @@
 // simulator with Gao–Rexford policies, an IXP fabric with peering
 // regulation, a community-network mesh simulator), and ten experiments
 // (E1–E10) that reproduce the shape of every empirical claim the paper
-// makes. The root-level benchmarks in bench_test.go regenerate each
-// experiment's rows; EXPERIMENTS.md records paper-claim versus measured
+// makes. Every experiment is a scenario in internal/experiment's registry:
+// cmd/reportgen renders their rows, BenchmarkScenario in bench_test.go
+// times each one, and EXPERIMENTS.md records paper-claim versus measured
 // shape.
 package repro

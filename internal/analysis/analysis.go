@@ -162,35 +162,23 @@ type Options struct {
 	// bit-identical for every value: each package's findings land at its
 	// index and the merged list is fully sorted.
 	Workers int
-	// Facts supplies precomputed interprocedural summaries; nil builds them
-	// from the packages (through Cache when set).
-	Facts *Facts
-	// Cache, when set and Facts is nil, serves per-package summaries
+	// Cache, when set, serves per-package interprocedural summaries
 	// content-addressed by file hash instead of recomputing them.
 	Cache *FactCache
 }
 
-// Run executes the analyzers over the packages serially with freshly built
-// facts — the PR 3 entry point, kept for tests and simple callers.
-func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) Result {
-	return RunOpts(fset, pkgs, analyzers, Options{Workers: 1})
-}
-
-// RunOpts executes the analyzers over the packages, applies suppression
-// comments, and returns the surviving findings sorted by position. Packages
-// are analyzed on at most opt.Workers goroutines; the result is
-// bit-identical for any worker count.
-func RunOpts(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opt Options) Result {
-	facts := opt.Facts
-	if facts == nil {
-		perPkg, err := parallel.Map(context.Background(), len(pkgs), opt.Workers, func(i int) ([]Summary, error) {
-			return CachedPackageSummaries(opt.Cache, pkgs[i]), nil
-		})
-		if err != nil {
-			panic(err) // summary building never errors; only task panics arrive here
-		}
-		facts = MergeFacts(perPkg)
+// Run builds the interprocedural facts over the packages, executes the
+// analyzers, applies suppression comments, and returns the surviving
+// findings sorted by position. Packages are analyzed on at most opt.Workers
+// goroutines; the result is bit-identical for any worker count.
+func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opt Options) Result {
+	perPkg, err := parallel.Map(context.Background(), len(pkgs), opt.Workers, func(i int) ([]Summary, error) {
+		return CachedPackageSummaries(opt.Cache, pkgs[i]), nil
+	})
+	if err != nil {
+		panic(err) // summary building never errors; only task panics arrive here
 	}
+	facts := MergeFacts(perPkg)
 	known := knownRules(analyzers)
 	type pkgResult struct {
 		findings   []Finding

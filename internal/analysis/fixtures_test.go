@@ -56,7 +56,7 @@ func runFixtureOpts(t *testing.T, an *Analyzer, fixture string, opts LoadOpts) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(l.Fset, []*Package{pkg}, []*Analyzer{an})
+	res := Run(l.Fset, []*Package{pkg}, []*Analyzer{an}, Options{Workers: 1})
 
 	type key struct {
 		file string

@@ -19,7 +19,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("loader found only %d packages; the module scan is broken", len(pkgs))
 	}
-	res := Run(l.Fset, pkgs, All())
+	res := Run(l.Fset, pkgs, All(), Options{Workers: 1})
 	for _, f := range res.Findings {
 		t.Errorf("lint finding: %s", f)
 	}

@@ -1,8 +1,12 @@
 package ethno
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
+
+	"repro/internal/experiment"
 )
 
 func newStudy(t *testing.T, sites ...Site) *Study {
@@ -254,11 +258,23 @@ func TestScheduleTotalDays(t *testing.T) {
 	}
 }
 
-func BenchmarkE7(b *testing.B) {
-	cfg := DefaultE7Config()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunE7(cfg); err != nil {
-			b.Fatal(err)
+// TestRunE7RejectsNoSites: E7 without a site to visit is an input error, both
+// from RunE7 and through the registered scenario, not an index panic.
+func TestRunE7RejectsNoSites(t *testing.T) {
+	sc, ok := experiment.Get("E7")
+	if !ok {
+		t.Fatal("E7 is not registered")
+	}
+	for _, sites := range []int{0, -2} {
+		cfg := DefaultE7Config()
+		cfg.Sites = sites
+		if _, err := RunE7(cfg); err == nil {
+			t.Errorf("RunE7 with %d sites succeeded, want an error", sites)
+		}
+		job := experiment.NewJob(sc)
+		job.Params = experiment.Values{"sites": sites}
+		if _, err := (&experiment.Runner{}).RunOne(context.Background(), job); err == nil || strings.Contains(err.Error(), "panic") {
+			t.Errorf("E7 scenario with %d sites: err = %v, want an input error", sites, err)
 		}
 	}
 }

@@ -41,7 +41,7 @@ type E7Config struct {
 	Params      AccrualParams
 }
 
-// DefaultE7Config returns the configuration used by the benchmark harness.
+// DefaultE7Config returns the E7 scenario's default configuration.
 func DefaultE7Config() E7Config {
 	return E7Config{
 		Sites:           4,
@@ -73,6 +73,9 @@ func buildStudy(cfg E7Config) (*Study, error) {
 // budget and returns one row per strategy, in the order continuous,
 // patchwork, rapid.
 func RunE7(cfg E7Config) ([]E7Row, error) {
+	if cfg.Sites < 1 {
+		return nil, fmt.Errorf("ethno: E7 needs at least one site, got %d", cfg.Sites)
+	}
 	study, err := buildStudy(cfg)
 	if err != nil {
 		return nil, err

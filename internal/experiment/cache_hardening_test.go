@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -255,6 +256,34 @@ func TestCacheGetDuringPut(t *testing.T) {
 	}
 }
 
+// runCoalesced starts job on r as the leader, waits until its scenario has
+// entered Run, adds followers identical callers, releases the scenario once
+// every follower is parked on the flight (Waiting makes that observable
+// without sleeps), and returns each caller's outcome, leader first.
+func runCoalesced(r *Runner, job Job, followers int, entered <-chan struct{}, release chan<- struct{}) ([]*Result, []error) {
+	results := make([]*Result, followers+1)
+	errs := make([]error, followers+1)
+	var wg sync.WaitGroup
+	call := func(i int) {
+		defer wg.Done()
+		results[i], errs[i] = r.RunOne(context.Background(), job)
+	}
+	wg.Add(1)
+	go call(0)
+	<-entered // the leader is inside Run and holds the flight
+
+	wg.Add(followers)
+	for i := 1; i <= followers; i++ {
+		go call(i)
+	}
+	for r.Waiting() < followers {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	return results, errs
+}
+
 // TestRunnerCoalescesConcurrentIdenticalJobs is the runner-level coalescing
 // contract: N identical concurrent jobs execute the scenario exactly once.
 // The scenario blocks until every follower has parked on the flight, so the
@@ -274,40 +303,14 @@ func TestRunnerCoalescesConcurrentIdenticalJobs(t *testing.T) {
 		<-release
 		return inner(ctx, p, seed)
 	}
-	sc := def{d}
 
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := &Runner{Cache: cache, Coalesce: true}
-	job := NewJob(sc)
-	key := CacheKey(sc.ID(), mustMerge(t, sc, nil), job.Seed)
-
-	results := make([]*Result, followers+1)
-	errs := make([]error, followers+1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		results[0], errs[0] = r.RunOne(context.Background(), job)
-	}()
-	<-entered // the leader is inside Run and holds the flight
-
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = r.RunOne(context.Background(), job)
-		}(i)
-	}
-	// Release the leader only once every follower is parked on the flight;
-	// waiters() makes that observable without sleeps.
-	for r.flight.waiters(key) < followers {
-		runtime.Gosched()
-	}
-	close(release)
-	wg.Wait()
+	job := NewJob(def{d})
+	results, errs := runCoalesced(r, job, followers, entered, release)
 
 	for i, err := range errs {
 		if err != nil {
@@ -348,10 +351,8 @@ func TestRunnerCoalesceFollowerHonoursContext(t *testing.T) {
 		<-release
 		return inner(ctx, p, seed)
 	}
-	sc := def{d}
 	r := &Runner{Coalesce: true}
-	job := NewJob(sc)
-	key := CacheKey(sc.ID(), mustMerge(t, sc, nil), job.Seed)
+	job := NewJob(def{d})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -369,7 +370,7 @@ func TestRunnerCoalesceFollowerHonoursContext(t *testing.T) {
 		_, err := r.RunOne(ctx, job)
 		followerErr <- err
 	}()
-	for r.flight.waiters(key) < 1 {
+	for r.Waiting() < 1 {
 		runtime.Gosched()
 	}
 	cancel()
@@ -378,6 +379,38 @@ func TestRunnerCoalesceFollowerHonoursContext(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
+}
+
+// TestRunnerCoalescedPanicFailsClosed: a scenario that panics while
+// followers are parked on its flight fails the leader and every follower
+// with an error naming the scenario, and the key is free again, so a retry
+// runs (and fails) instead of hanging.
+func TestRunnerCoalescedPanicFailsClosed(t *testing.T) {
+	const followers = 5
+	entered := make(chan struct{}, 2) // one send per execution: the flight and the retry
+	release := make(chan struct{})
+	d := synthDef("T1")
+	d.Run = func(ctx context.Context, p Values, seed uint64) (*Result, error) {
+		entered <- struct{}{}
+		<-release
+		var ids []string
+		return nil, fmt.Errorf("unreachable: %s", ids[0])
+	}
+	r := &Runner{Coalesce: true}
+	job := NewJob(def{d})
+	_, errs := runCoalesced(r, job, followers, entered, release)
+
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "scenario T1: panic: runtime error: index out of range") {
+			t.Fatalf("caller %d: err = %v, want a scenario T1 panic error", i, err)
+		}
+	}
+	if _, err := r.RunOne(context.Background(), job); err == nil {
+		t.Fatal("retry after a panicking flight succeeded, want the panic error again")
+	}
+	if st := r.Stats(); st.Misses != 0 || st.Shared != followers {
+		t.Fatalf("stats = %+v, want 0 misses / %d shared", st, followers)
+	}
 }
 
 // BenchmarkCacheKey is the humnetd hot-path cost of one key derivation.

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 )
 
@@ -25,11 +27,17 @@ type flightCall struct {
 	err     error
 }
 
+// errFlightAborted is what followers see if the leader's fn never returned
+// (runtime.Goexit); a panic in fn is reported as its own error instead.
+var errFlightAborted = errors.New("experiment: coalesced execution ended without a result")
+
 // do executes fn once per key among concurrent callers. The leader returns
 // shared=false; followers park until the leader finishes (or their own
 // context ends) and return shared=true. The key is removed before done is
 // closed, so a caller arriving after completion starts a fresh flight — the
-// group coalesces concurrency, it does not cache.
+// group coalesces concurrency, it does not cache. The flight ends in a defer,
+// so however fn fails, the leader and every follower get an error and the
+// key is free for the next caller.
 func (g *flightGroup) do(ctx context.Context, key string, fn func() (*Result, error)) (res *Result, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -45,29 +53,22 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*Result, er
 			return nil, true, ctx.Err()
 		}
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall{done: make(chan struct{}), err: errFlightAborted}
 	g.m[key] = c
 	g.mu.Unlock()
 
+	defer func() {
+		if v := recover(); v != nil {
+			c.res, c.err = nil, fmt.Errorf("experiment: panic: %v", v)
+		}
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		close(c.done)
+		res, err = c.res, c.err
+	}()
 	c.res, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.res, false, c.err
-}
-
-// waiters reports how many followers are currently parked on key. Tests use
-// it to release a blocked leader only once every concurrent caller has
-// joined the flight, making coalescing assertions deterministic.
-func (g *flightGroup) waiters(key string) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c, ok := g.m[key]; ok {
-		return c.waiting
-	}
-	return 0
 }
 
 // totalWaiters sums parked followers across every in-flight key.

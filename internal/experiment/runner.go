@@ -111,7 +111,7 @@ func (r *Runner) runKeyed(ctx context.Context, s Scenario, merged Values, seed u
 			return res, nil
 		}
 	}
-	res, err := s.Run(WithWorkers(ctx, r.ScenarioWorkers), merged, seed)
+	res, err := runScenario(WithWorkers(ctx, r.ScenarioWorkers), s, merged, seed)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.ID(), err)
 	}
@@ -130,4 +130,15 @@ func (r *Runner) runKeyed(ctx context.Context, s Scenario, merged Values, seed u
 		}
 	}
 	return res, nil
+}
+
+// runScenario calls s.Run and turns a panic into an error, so a scenario bug
+// fails its own job instead of the process or a coalesced flight.
+func runScenario(ctx context.Context, s Scenario, p Values, seed uint64) (res *Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, fmt.Errorf("panic: %v", v)
+		}
+	}()
+	return s.Run(ctx, p, seed)
 }

@@ -228,21 +228,3 @@ func TestE10Deterministic(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkE4Discovery(b *testing.B) {
-	cfg := DefaultDiscoveryConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunDiscovery(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE10Iteration(b *testing.B) {
-	cfg := DefaultIterateConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunIteration(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -93,7 +93,7 @@ type LensConfig struct {
 	Seed      uint64
 }
 
-// DefaultLensConfig returns the configuration used by the benchmark harness.
+// DefaultLensConfig returns a reference E9 configuration.
 func DefaultLensConfig() LensConfig {
 	return LensConfig{
 		Items:              300,

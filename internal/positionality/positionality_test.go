@@ -156,12 +156,3 @@ func TestE9Deterministic(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkE9Lens(b *testing.B) {
-	cfg := DefaultLensConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunLens(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

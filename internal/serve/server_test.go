@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -205,6 +206,48 @@ func blockingDef(id string, entered chan<- struct{}, release <-chan struct{}) ex
 	return d
 }
 
+// coalescedGets sends GET /run?id=T1 as the leader, waits until its
+// scenario has entered Run, adds followers identical requests, releases the
+// scenario once every follower is parked on the runner's flight, and returns
+// each response's status and body, leader first.
+func coalescedGets(t *testing.T, srv *Server, ts *httptest.Server, followers int, entered <-chan struct{}, release chan<- struct{}) ([]int, [][]byte) {
+	t.Helper()
+	statuses := make([]int, followers+1)
+	bodies := make([][]byte, followers+1)
+	var wg sync.WaitGroup
+	fetch := func(i int) {
+		defer wg.Done()
+		resp, err := http.Get(ts.URL + "/run?id=T1")
+		if err != nil {
+			t.Errorf("request %d: %v", i, err)
+			return
+		}
+		statuses[i] = resp.StatusCode
+		bodies[i], _ = io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+	}
+	wg.Add(1)
+	go fetch(0)
+	<-entered // leader is inside Run
+
+	wg.Add(followers)
+	for i := 1; i <= followers; i++ {
+		go fetch(i)
+	}
+	// Followers park on the runner's flight; release once they are all
+	// there. Bounded yield loop instead of a wall-clock deadline — the
+	// wildrand rule keeps time.Now out of internal packages.
+	for i := 0; srv.runner.Waiting() < followers; i++ {
+		if i > 500_000_000 {
+			t.Fatalf("only %d followers joined the flight", srv.runner.Waiting())
+		}
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	return statuses, bodies
+}
+
 func TestRunCoalescesConcurrentIdenticalRequests(t *testing.T) {
 	const followers = 6
 	entered := make(chan struct{}, 1)
@@ -225,40 +268,7 @@ func TestRunCoalescesConcurrentIdenticalRequests(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	bodies := make([][]byte, followers+1)
-	statuses := make([]int, followers+1)
-	var wg sync.WaitGroup
-	fetch := func(i int) {
-		defer wg.Done()
-		resp, err := http.Get(ts.URL + "/run?id=T1")
-		if err != nil {
-			t.Errorf("request %d: %v", i, err)
-			return
-		}
-		statuses[i] = resp.StatusCode
-		bodies[i], _ = io.ReadAll(resp.Body)
-		_ = resp.Body.Close()
-	}
-	wg.Add(1)
-	go fetch(0)
-	<-entered // leader is inside Run
-
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go fetch(i)
-	}
-	// Followers park on the runner's flight; release once they are all
-	// there. Bounded yield loop instead of a wall-clock deadline — the
-	// wildrand rule keeps time.Now out of internal packages.
-	for i := 0; srv.runner.Waiting() < followers; i++ {
-		if i > 500_000_000 {
-			t.Fatalf("only %d followers joined the flight", srv.runner.Waiting())
-		}
-		runtime.Gosched()
-	}
-	close(release)
-	wg.Wait()
-
+	statuses, bodies := coalescedGets(t, srv, ts, followers, entered, release)
 	for i, st := range statuses {
 		if st != http.StatusOK {
 			t.Fatalf("request %d status = %d (%s)", i, st, bodies[i])
@@ -272,6 +282,47 @@ func TestRunCoalescesConcurrentIdenticalRequests(t *testing.T) {
 	}
 	if m := srv.Metrics(); m.Executed != 1 || m.Coalesced != followers {
 		t.Fatalf("metrics = %+v, want 1 executed / %d coalesced", m, followers)
+	}
+}
+
+// TestRunPanickingLeaderFailsEveryCaller: a scenario that panics while
+// followers are coalesced on its execution answers the leader and every
+// follower with 500, counts each as failed, and leaves the key usable: a
+// retry of the same request terminates (with 500 again) instead of hanging.
+func TestRunPanickingLeaderFailsEveryCaller(t *testing.T) {
+	const followers = 4
+	entered := make(chan struct{}, 2) // one send per execution: the flight and the retry
+	release := make(chan struct{})
+	reg := experiment.NewRegistry()
+	d := blockingDef("T1", entered, release)
+	inner := d.Run
+	d.Run = func(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
+		if _, err := inner(ctx, p, seed); err != nil {
+			return nil, err
+		}
+		panic("scenario bug")
+	}
+	if err := reg.Register(d); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Registry: reg, LRUSize: 8, MaxInFlight: followers + 2, MaxQueue: followers + 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	statuses, bodies := coalescedGets(t, srv, ts, followers, entered, release)
+	for i, st := range statuses {
+		if st != http.StatusInternalServerError || !strings.Contains(string(bodies[i]), "panic: scenario bug") {
+			t.Fatalf("request %d: status %d (%s), want 500 naming the panic", i, st, bodies[i])
+		}
+	}
+	if m := srv.Metrics(); m.Failed != followers+1 || m.Executed != 0 {
+		t.Fatalf("metrics = %+v, want %d failed / 0 executed", m, followers+1)
+	}
+	if status, body := get(t, ts, "/run?id=T1"); status != http.StatusInternalServerError {
+		t.Fatalf("retry status = %d (%s), want 500", status, body)
+	}
+	if m := srv.Metrics(); m.Failed != followers+2 {
+		t.Fatalf("metrics = %+v, want %d failed after the retry", m, followers+2)
 	}
 }
 

@@ -169,7 +169,7 @@ type E8Config struct {
 	Seed           uint64
 }
 
-// DefaultE8Config returns the configuration used by the benchmark harness.
+// DefaultE8Config returns the E8 scenario's default configuration.
 func DefaultE8Config() E8Config {
 	return E8Config{
 		Strata:         DefaultStrata(),

@@ -203,12 +203,3 @@ func TestE8Deterministic(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkE8(b *testing.B) {
-	cfg := DefaultE8Config()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunE8(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

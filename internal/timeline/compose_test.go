@@ -454,12 +454,12 @@ func TestIXPMachineIncrementalMatchesColdPerTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	incSeries, err := ReplayCtx(context.Background(), st, inc, func(tick int) error {
+	incSeries, err := ReplayCtx(context.Background(), st, checked{inc, func(tick int) error {
 		if err := tablesEqualCold(inc.State()); err != nil {
 			return fmt.Errorf("incremental tables diverge from cold at tick %d: %w", tick, err)
 		}
 		return nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,12 +53,10 @@ type Series struct {
 
 // ReplayCtx canonicalizes and validates the stream, then runs it through m:
 // for each tick in [0, Horizon), apply that tick's events in canonical
-// order, then observe. Optional hooks run after each tick's observation —
-// the property suite uses one to compare live state against a cold oracle
-// without re-implementing the loop. The context is checked once per tick and
-// passed implicitly to nothing: machines capture their own context at
-// construction if their internals fan out.
-func ReplayCtx(ctx context.Context, s Stream, m Machine, hooks ...func(tick int) error) (*Series, error) {
+// order, then observe. The context is checked once per tick and passed
+// implicitly to nothing: machines capture their own context at construction
+// if their internals fan out.
+func ReplayCtx(ctx context.Context, s Stream, m Machine) (*Series, error) {
 	cs := s.Canonicalize()
 	if err := cs.Validate(); err != nil {
 		return nil, err
@@ -83,11 +81,6 @@ func ReplayCtx(ctx context.Context, s Stream, m Machine, hooks ...func(tick int)
 			return nil, fmt.Errorf("timeline: tick %d: observation has %d values, want %d", tick, len(row), len(out.Cols))
 		}
 		out.Rows = append(out.Rows, row)
-		for _, h := range hooks {
-			if err := h(tick); err != nil {
-				return nil, fmt.Errorf("timeline: tick %d: %w", tick, err)
-			}
-		}
 	}
 	return out, nil
 }

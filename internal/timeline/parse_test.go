@@ -11,6 +11,25 @@ import (
 	"repro/internal/bgpsim"
 )
 
+// checked wraps a Machine so that each Observe is followed by check(tick):
+// the tests compare live state against a cold oracle inside the ordinary
+// ReplayCtx loop.
+type checked struct {
+	Machine
+	check func(tick int) error
+}
+
+func (c checked) Observe(tick int) ([]float64, error) {
+	row, err := c.Machine.Observe(tick)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.check(tick); err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
 // tablesEqualCold compares the live incremental tables of c against a cold
 // full convergence of its (mutated) topology — the replay oracle, cell by
 // cell through the exported accessors.
@@ -98,7 +117,7 @@ func TestParseDocFlapstormReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := ReplayCtx(context.Background(), doc.Stream, m, func(int) error { return tablesEqualCold(m.State()) })
+	series, err := ReplayCtx(context.Background(), doc.Stream, checked{m, func(int) error { return tablesEqualCold(m.State()) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +256,7 @@ func FuzzParseStream(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReplayCtx(context.Background(), sub, m, func(int) error { return tablesEqualCold(m.State()) }); err != nil {
+		if _, err := ReplayCtx(context.Background(), sub, checked{m, func(int) error { return tablesEqualCold(m.State()) }}); err != nil {
 			t.Fatalf("validated document failed replay: %v\n%s", err, text)
 		}
 	})

@@ -175,12 +175,12 @@ func TestPropIncrementalMatchesColdEveryTick(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		_, err = ReplayCtx(context.Background(), stream, m, func(tick int) error {
+		_, err = ReplayCtx(context.Background(), stream, checked{m, func(tick int) error {
 			if err := tablesEqualCold(m.State()); err != nil {
 				return fmt.Errorf("tick %d diverges from cold oracle: %w", tick, err)
 			}
 			return nil
-		})
+		}})
 		return err
 	})
 }
