@@ -10,20 +10,34 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/report.golden.md from the current registry output")
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden.md files from the current registry output")
 
 // TestGoldenReport pins every experiment's table to the committed golden
 // file: any drift in a scenario's numbers, formatting, ordering, or the
 // registry's report surface fails here with a line-level diff. Regenerate
 // deliberately with `go test ./cmd/reportgen -run TestGoldenReport -update`.
 func TestGoldenReport(t *testing.T) {
+	checkGolden(t, "report.golden.md", "-workers", "4")
+}
+
+// TestGoldenAux pins the auxiliary community-network studies, which the
+// report leaves out: cn-topology is the only output of the topology-aware
+// simulator. Same -update flag as TestGoldenReport.
+func TestGoldenAux(t *testing.T) {
+	checkGolden(t, "aux.golden.md", "-workers", "4", "-only", "cn-maintenance,cn-topology")
+}
+
+// checkGolden runs reportgen with args and compares stdout with
+// testdata/<name>, or rewrites it under -update.
+func checkGolden(t *testing.T, name string, args ...string) {
+	t.Helper()
 	var out, errOut bytes.Buffer
-	if err := run([]string{"-workers", "4"}, &out, &errOut); err != nil {
+	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, errOut.String())
 	}
 	got := out.Bytes()
 
-	golden := filepath.Join("testdata", "report.golden.md")
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)

@@ -49,3 +49,37 @@ func TestChurnSimDemandScale(t *testing.T) {
 		t.Fatalf("scaled offered = %v, want exactly 2x %v", rb.Offered, ra.Offered)
 	}
 }
+
+// TestChurnSimLockstepWithSimulate: with every member up and the demand
+// scale at 1, a ChurnSim replays Simulate's world epoch for epoch, so the
+// mean of its per-epoch light-user satisfaction equals Simulate's pooled
+// LightSatisfaction up to float summation order.
+func TestChurnSimLockstepWithSimulate(t *testing.T) {
+	const epochs = 120
+	cfg := SimConfig{Members: 20, HeavyFrac: 0.2, CapacityFactor: 0.6, Epochs: epochs, Seed: 11}
+	for _, mk := range []func() Scheduler{
+		func() Scheduler { return Proportional{} },
+		func() Scheduler { return MaxMin{} },
+		func() Scheduler { return &CPR{} },
+	} {
+		want, err := Simulate(cfg, mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewChurnSim(ChurnConfig{
+			Members: cfg.Members, HeavyFrac: cfg.HeavyFrac,
+			CapacityFactor: cfg.CapacityFactor, Seed: cfg.Seed,
+		}, mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0.0
+		for e := 0; e < epochs; e++ {
+			sum += s.Epoch().LightSat
+		}
+		if got := sum / epochs; math.Abs(got-want.LightSatisfaction) > 1e-12 {
+			t.Errorf("%s: churn light-sat %v, Simulate %v (diff %g)",
+				want.Scheduler, got, want.LightSatisfaction, got-want.LightSatisfaction)
+		}
+	}
+}

@@ -13,30 +13,35 @@ func TestTranscriptValidation(t *testing.T) {
 }
 
 func TestTranscriptMatchesSimulatedTurns(t *testing.T) {
-	cfg := Config{
-		Participants: DefaultParticipants(), Turns: 120,
-		Strategy: Unmoderated, Seed: 9,
-	}
-	res, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := Transcript(cfg, TranscriptConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Segments) != cfg.Turns {
-		t.Fatalf("segments = %d, want %d", len(doc.Segments), cfg.Turns)
-	}
-	// Per-speaker turn counts in the transcript must equal the simulation's.
-	counts := make(map[string]int)
-	for _, s := range doc.Segments {
-		counts[s.Speaker]++
-	}
-	for id, want := range res.TurnsByID {
-		if counts[id] != want {
-			t.Errorf("speaker %s: transcript %d turns vs simulated %d", id, counts[id], want)
-		}
+	for _, strategy := range []Facilitation{Unmoderated, RoundRobin, Gated} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			cfg := Config{
+				Participants: DefaultParticipants(), Turns: 120,
+				Strategy: strategy, Seed: 9,
+			}
+			res, err := Simulate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc, err := Transcript(cfg, TranscriptConfig{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(doc.Segments) != cfg.Turns {
+				t.Fatalf("segments = %d, want %d", len(doc.Segments), cfg.Turns)
+			}
+			// Per-speaker turn counts in the transcript must equal the
+			// simulation's.
+			counts := make(map[string]int)
+			for _, s := range doc.Segments {
+				counts[s.Speaker]++
+			}
+			for id, want := range res.TurnsByID {
+				if counts[id] != want {
+					t.Errorf("speaker %s: transcript %d turns vs simulated %d", id, counts[id], want)
+				}
+			}
+		})
 	}
 }
 
