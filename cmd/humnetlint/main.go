@@ -4,7 +4,7 @@
 // Usage:
 //
 //	humnetlint [-C dir] [-json] [-rules rangemap,wildrand,...]
-//	           [-workers N] [-fix] [-tests] [-cache dir] [pkgdir ...]
+//	           [-workers N] [-fix] [-tests] [pkgdir ...]
 //
 // With no arguments it lints the whole module rooted at -C (default ".").
 // Positional arguments restrict reporting to the given module-relative
@@ -12,9 +12,8 @@
 // whole-program type information).
 //
 // -workers fans the analyzers out across packages (0 = GOMAXPROCS); output
-// is byte-identical for every worker count. -cache reuses per-package
-// interprocedural summaries content-addressed by file hash. -tests loads
-// in-package _test.go files so test-only accesses are visible to atomicmix.
+// is byte-identical for every worker count. -tests loads in-package
+// _test.go files so test-only accesses are visible to atomicmix.
 // -fix applies the suggested fixes (aliasret copy-on-return, ctxflow context
 // threading) in place; fixes are idempotent — a second run edits nothing.
 //
@@ -57,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 1, "packages analyzed concurrently (0 = GOMAXPROCS)")
 	fix := fs.Bool("fix", false, "apply suggested fixes in place")
 	tests := fs.Bool("tests", false, "include in-package _test.go files")
-	cacheDir := fs.String("cache", "", "directory for the content-addressed summary cache")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -105,19 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pkgs = kept
 	}
 
-	var cache *analysis.FactCache
-	if *cacheDir != "" {
-		cache, err = analysis.OpenFactCache(*cacheDir)
-		if err != nil {
-			emitf(stderr, "humnetlint: %v\n", err)
-			return 2
-		}
-	}
-
-	res := analysis.Run(loader.Fset, pkgs, analyzers, analysis.Options{
-		Workers: *workers,
-		Cache:   cache,
-	})
+	res := analysis.Run(loader.Fset, pkgs, analyzers, analysis.Options{Workers: *workers})
 
 	if *fix {
 		edits, files, ferr := analysis.ApplyFixes(res.Findings)

@@ -215,27 +215,6 @@ func TestFixAppliesAndIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestWarmCacheOutputIdentical(t *testing.T) {
-	dir := seedFixableModule(t)
-	cache := filepath.Join(t.TempDir(), "factcache")
-
-	var cold, warm, stderr bytes.Buffer
-	if code := run([]string{"-C", dir, "-json", "-cache", cache}, &cold, &stderr); code != 1 {
-		t.Fatalf("cold run: exit = %d, want 1\nstderr: %s", code, &stderr)
-	}
-	entries, err := os.ReadDir(cache)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("cold run left no cache entries (err %v)", err)
-	}
-	stderr.Reset()
-	if code := run([]string{"-C", dir, "-json", "-cache", cache}, &warm, &stderr); code != 1 {
-		t.Fatalf("warm run: exit = %d, want 1\nstderr: %s", code, &stderr)
-	}
-	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
-		t.Errorf("warm cache output differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", &cold, &warm)
-	}
-}
-
 func TestTestsFlagRevealsTestOnlyAccess(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, filepath.Join(dir, "go.mod"), "module seeded\n\ngo 1.22\n")

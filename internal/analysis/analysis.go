@@ -162,9 +162,6 @@ type Options struct {
 	// bit-identical for every value: each package's findings land at its
 	// index and the merged list is fully sorted.
 	Workers int
-	// Cache, when set, serves per-package interprocedural summaries
-	// content-addressed by file hash instead of recomputing them.
-	Cache *FactCache
 }
 
 // Run builds the interprocedural facts over the packages, executes the
@@ -172,13 +169,7 @@ type Options struct {
 // findings sorted by position. Packages are analyzed on at most opt.Workers
 // goroutines; the result is bit-identical for any worker count.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opt Options) Result {
-	perPkg, err := parallel.Map(context.Background(), len(pkgs), opt.Workers, func(i int) ([]Summary, error) {
-		return CachedPackageSummaries(opt.Cache, pkgs[i]), nil
-	})
-	if err != nil {
-		panic(err) // summary building never errors; only task panics arrive here
-	}
-	facts := MergeFacts(perPkg)
+	facts := BuildFacts(pkgs, opt.Workers)
 	known := knownRules(analyzers)
 	type pkgResult struct {
 		findings   []Finding

@@ -23,7 +23,7 @@ import (
 type Package struct {
 	Path      string   // import path, e.g. "repro/internal/bgpsim"
 	Dir       string   // absolute directory the files were read from
-	Filenames []string // absolute source file paths, sorted (fact-cache key input)
+	Filenames []string // absolute source file paths, sorted
 	Files     []*ast.File
 	Types     *types.Package
 	Info      *types.Info

@@ -7,10 +7,10 @@ package analysis
 // context parameter is forwarded or dropped, which struct fields are touched
 // with sync/atomic versus plain loads/stores, which named types the body
 // writes to, and the static intra-module call edges. Summaries are a pure
-// function of one package's syntax and types, so they cache per package,
-// content-addressed by file hash (factcache.go); the cross-function
-// propagation (transitive ambient blocking, call-graph reachability) is
-// recomputed cheaply from the merged summaries on every run.
+// function of one package's syntax and types, so packages are summarized
+// independently and in parallel; the cross-function propagation (transitive
+// ambient blocking, call-graph reachability) is computed from the merged
+// summaries.
 
 import (
 	"context"
@@ -24,8 +24,8 @@ import (
 )
 
 // Summary is the interprocedural fact record of one declared function or
-// method. Fields are ordered and slice-valued so the JSON encoding (and with
-// it the on-disk fact cache) is deterministic.
+// method. Fields are ordered and slice-valued so the JSON encoding is
+// deterministic.
 type Summary struct {
 	// ID names the function: "pkgpath.Func" or "pkgpath.(Recv).Method".
 	ID       string `json:"id"`
@@ -125,17 +125,17 @@ func (f *Facts) Reachable(roots []string) map[string]bool {
 // bit-identical for any worker count) and merges the result.
 func BuildFacts(pkgs []*Package, workers int) *Facts {
 	sums, err := parallel.Map(context.Background(), len(pkgs), workers, func(i int) ([]Summary, error) {
-		return PackageSummaries(pkgs[i]), nil
+		return packageSummaries(pkgs[i]), nil
 	})
 	if err != nil {
 		panic(err) // tasks never fail and the context never ends: panics only
 	}
-	return MergeFacts(sums)
+	return mergeFacts(sums)
 }
 
-// MergeFacts folds per-package summary lists (in package order) into the
+// mergeFacts folds per-package summary lists (in package order) into the
 // module-wide fact index and computes the derived closures.
-func MergeFacts(perPkg [][]Summary) *Facts {
+func mergeFacts(perPkg [][]Summary) *Facts {
 	f := &Facts{
 		byID:    make(map[string]*Summary),
 		atomic:  make(map[string]bool),
@@ -347,9 +347,9 @@ func atomicOperable(t types.Type) bool {
 	return false
 }
 
-// PackageSummaries computes the summary of every declared function in pkg, in
+// packageSummaries computes the summary of every declared function in pkg, in
 // file and declaration order (stable: Loader sorts file names).
-func PackageSummaries(pkg *Package) []Summary {
+func packageSummaries(pkg *Package) []Summary {
 	var out []Summary
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
@@ -757,7 +757,7 @@ func hasUnexportedSelector(pkg *Package, e ast.Expr) bool {
 }
 
 // sortedKeys returns the set's keys sorted — the canonical slice encoding of
-// every summary set, keeping cached facts byte-stable.
+// every summary set, keeping facts byte-stable.
 func sortedKeys(m map[string]bool) []string {
 	if len(m) == 0 {
 		return nil

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -123,100 +122,5 @@ func TestBuildFactsWorkerCountInvariant(t *testing.T) {
 	parallelJSON := summariesJSON(4)
 	if string(serial) != string(parallelJSON) {
 		t.Errorf("facts differ across worker counts:\n-1-\n%s\n-4-\n%s", serial, parallelJSON)
-	}
-}
-
-func TestFactCacheRoundTrip(t *testing.T) {
-	_, pkg := loadFixturePkg(t, "ctxflow", LoadOpts{})
-	cache, err := OpenFactCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := FactKey(pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cold := PackageSummaries(pkg)
-	if len(cold) == 0 {
-		t.Fatal("no summaries computed")
-	}
-	if _, ok := cache.Get(key, pkg.Path); ok {
-		t.Fatal("Get hit on an empty cache")
-	}
-	warm := CachedPackageSummaries(cache, pkg) // miss: computes and stores
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatalf("cold-path summaries differ from direct computation")
-	}
-	got, ok := cache.Get(key, pkg.Path)
-	if !ok {
-		t.Fatal("Get miss after CachedPackageSummaries stored the entry")
-	}
-	if !reflect.DeepEqual(got, cold) {
-		t.Errorf("cached summaries differ from computed:\n%+v\nvs\n%+v", got, cold)
-	}
-	// A warm re-read through the same helper is byte-identical.
-	rewarm := CachedPackageSummaries(cache, pkg)
-	a, _ := json.Marshal(warm)
-	b, _ := json.Marshal(rewarm)
-	if string(a) != string(b) {
-		t.Errorf("warm summaries not byte-identical to cold:\n%s\nvs\n%s", a, b)
-	}
-	// The entry must not resolve under a different package path.
-	if _, ok := cache.Get(key, "repro/internal/otherpkg"); ok {
-		t.Error("Get returned an entry recorded for a different package path")
-	}
-}
-
-func TestFactKeyTracksFileContent(t *testing.T) {
-	root := moduleRoot(t)
-	src := filepath.Join(root, "internal", "analysis", "testdata", "src", "ctxflow")
-
-	// Copy the fixture into a scratch dir so we can mutate a file.
-	scratch := t.TempDir()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(scratch, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	load := func() *Package {
-		l, err := NewLoader(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := "repro/internal/ctxflowfix"
-		l.AddDir(path, scratch)
-		pkg, err := l.Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pkg
-	}
-	before, err := FactKey(load())
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := filepath.Join(scratch, "hit.go")
-	data, err := os.ReadFile(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(target, append(data, []byte("\n// touched\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	after, err := FactKey(load())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before == after {
-		t.Error("FactKey unchanged after file content changed")
 	}
 }

@@ -9,11 +9,7 @@ package cn
 // schedules differ only in timing, and an empty stream reproduces the
 // all-up trajectory exactly.
 
-import (
-	"fmt"
-
-	"repro/internal/rng"
-)
+import "fmt"
 
 // ChurnConfig parameterizes a churn-aware run. It mirrors SimConfig minus
 // the epoch count (the replaying stream's horizon decides that).
@@ -27,17 +23,12 @@ type ChurnConfig struct {
 	Seed           uint64
 }
 
-// ChurnSim is the live state: mesh, demand model, scheduler, and the up/down
-// member set. Not safe for concurrent use.
+// ChurnSim is the live state: Simulate's world plus the up/down member set
+// and the demand scale. Not safe for concurrent use.
 type ChurnSim struct {
-	cfg       ChurnConfig
-	net       *Network
-	model     DemandModel
-	sched     Scheduler
-	capacity  float64
-	demandRNG *rng.Rand
-	up        []bool
-	nUp       int
+	w   *world
+	up  []bool
+	nUp int
 	// scale multiplies every member's demand draw (1 = baseline). It scales
 	// the draw after the RNG consumes it, so changing the scale mid-run never
 	// perturbs the demand process itself — the same churn-independence
@@ -45,60 +36,35 @@ type ChurnSim struct {
 	scale float64
 }
 
-// NewChurnSim builds the mesh and demand model exactly as Simulate does for
-// the same (Members, HeavyFrac, MeshRadius, Seed) and starts every member
-// up. Member i maps to mesh node i+1 (node 0 is the gateway).
+// NewChurnSim builds the same world Simulate does for the same (Members,
+// HeavyFrac, CapacityFactor, MeshRadius, Seed) and starts every member up.
+// Member i maps to mesh node i+1 (node 0 is the gateway).
 func NewChurnSim(cfg ChurnConfig, sched Scheduler) (*ChurnSim, error) {
 	if cfg.Members < 2 {
 		return nil, fmt.Errorf("cn: need at least 2 members, got %d", cfg.Members)
 	}
-	r := rng.New(cfg.Seed)
-	radius := cfg.MeshRadius
-	if radius == 0 {
-		radius = 0.35
-	}
-	net, err := BuildMesh(cfg.Members+1, radius, r.Split())
+	w, err := newWorld(cfg, sched)
 	if err != nil {
 		return nil, err
 	}
-	model := NewDemandModel(cfg.Members, cfg.HeavyFrac)
-	demandRNG := r.Split()
-
-	meanBytes := 0.0
-	for _, k := range model.Kinds {
-		if k == HeavyUser {
-			meanBytes += model.HeavyBase
-		} else {
-			meanBytes += model.LightBase * (1 + model.BurstProb*(model.BurstFactor-1))
-		}
-	}
-	capacity := cfg.CapacityFactor * meanBytes * net.MeanPathETX()
-
-	sched.Reset(cfg.Members)
 	up := make([]bool, cfg.Members)
 	for i := range up {
 		up[i] = true
 	}
-	return &ChurnSim{
-		cfg:       cfg,
-		net:       net,
-		model:     model,
-		sched:     sched,
-		capacity:  capacity,
-		demandRNG: demandRNG,
-		up:        up,
-		nUp:       cfg.Members,
-		scale:     1,
-	}, nil
+	return &ChurnSim{w: w, up: up, nUp: cfg.Members, scale: 1}, nil
 }
+
+// MaxDemandScale bounds the demand scale: enough for any surge story, small
+// enough that scaled demand stays far from float trouble.
+const MaxDemandScale = 64
 
 // SetDemandScale sets the absolute demand multiplier applied to every
 // member's draw from now on. Idempotent — re-asserting the current scale is
 // a no-op — so an external controller (a timeline cascade) can set it every
-// epoch. The factor must be finite and in (0, 64].
+// epoch. The factor must be finite and in (0, MaxDemandScale].
 func (s *ChurnSim) SetDemandScale(f float64) error {
-	if !(f > 0) || f > 64 {
-		return fmt.Errorf("cn: demand scale %v outside (0, 64]", f)
+	if !(f > 0) || f > MaxDemandScale {
+		return fmt.Errorf("cn: demand scale %v outside (0, %d]", f, MaxDemandScale)
 	}
 	s.scale = f
 	return nil
@@ -111,8 +77,8 @@ func (s *ChurnSim) DemandScale() float64 { return s.scale }
 // a down member or repairing an up one is an error, never a no-op — so every
 // churn event in a stream is observable and invertible.
 func (s *ChurnSim) SetUp(m int, up bool) error {
-	if m < 0 || m >= s.cfg.Members {
-		return fmt.Errorf("cn: member %d outside [0, %d)", m, s.cfg.Members)
+	if m < 0 || m >= len(s.up) {
+		return fmt.Errorf("cn: member %d outside [0, %d)", m, len(s.up))
 	}
 	if s.up[m] == up {
 		state := "down"
@@ -147,23 +113,12 @@ type EpochStats struct {
 // discarded, keeping the process churn-independent), runs the scheduler over
 // the up members' airtime demands, and returns the epoch summary.
 func (s *ChurnSim) Epoch() EpochStats {
-	bytesDemand, _ := s.model.Sample(s.demandRNG)
-	airDemand := make([]float64, s.cfg.Members)
-	offered := 0.0
-	for i := range bytesDemand {
-		if !s.up[i] {
-			continue
-		}
-		airDemand[i] = bytesDemand[i] * s.scale * s.net.PathETX[i+1]
-		offered += airDemand[i]
-	}
-	alloc := s.sched.Allocate(airDemand, s.capacity)
-
+	airDemand, alloc, _, offered := s.w.epoch(s.up, s.scale)
 	served := 0.0
 	lightSum, lightN := 0.0, 0
 	for i := range alloc {
 		served += alloc[i]
-		if !s.up[i] || s.model.Kinds[i] != LightUser || airDemand[i] <= 0 {
+		if !s.up[i] || s.w.model.Kinds[i] != LightUser || airDemand[i] <= 0 {
 			continue
 		}
 		lightSum += alloc[i] / airDemand[i]

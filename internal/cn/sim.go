@@ -111,13 +111,22 @@ type SimResult struct {
 	CongestedEpochs int
 }
 
-// Simulate runs the demand process through sched over a freshly built mesh
-// and returns the summary. Member 0 of the behavioural model maps to mesh
-// node 1 (node 0 is the gateway).
-func Simulate(cfg SimConfig, sched Scheduler) (SimResult, error) {
-	if cfg.Members < 2 {
-		return SimResult{}, fmt.Errorf("cn: need at least 2 members, got %d", cfg.Members)
-	}
+// world is the community network every simulation in this package runs
+// over: the mesh (gateway at node 0, member i at node i+1), the demand model
+// and its RNG, the scheduler, and a gateway capacity of CapacityFactor times
+// the mean offered airtime of the full membership.
+type world struct {
+	net       *Network
+	model     DemandModel
+	sched     Scheduler
+	capacity  float64
+	demandRNG *rng.Rand
+}
+
+// newWorld builds the world for cfg and resets sched for its members. Equal
+// configs build equal worlds, which is what lets Simulate,
+// SimulateTopologyAware and ChurnSim be compared run for run.
+func newWorld(cfg ChurnConfig, sched Scheduler) (*world, error) {
 	r := rng.New(cfg.Seed)
 	radius := cfg.MeshRadius
 	if radius == 0 {
@@ -125,12 +134,9 @@ func Simulate(cfg SimConfig, sched Scheduler) (SimResult, error) {
 	}
 	net, err := BuildMesh(cfg.Members+1, radius, r.Split())
 	if err != nil {
-		return SimResult{}, err
+		return nil, err
 	}
 	model := NewDemandModel(cfg.Members, cfg.HeavyFrac)
-	demandRNG := r.Split()
-
-	// Estimate mean offered airtime to size capacity.
 	meanBytes := 0.0
 	for _, k := range model.Kinds {
 		if k == HeavyUser {
@@ -139,10 +145,54 @@ func Simulate(cfg SimConfig, sched Scheduler) (SimResult, error) {
 			meanBytes += model.LightBase * (1 + model.BurstProb*(model.BurstFactor-1))
 		}
 	}
-	meanETX := net.MeanPathETX()
-	capacity := cfg.CapacityFactor * meanBytes * meanETX
-
 	sched.Reset(cfg.Members)
+	return &world{
+		net:       net,
+		model:     model,
+		sched:     sched,
+		capacity:  cfg.CapacityFactor * meanBytes * net.MeanPathETX(),
+		demandRNG: r.Split(),
+	}, nil
+}
+
+// epoch runs one demand epoch: it draws a sample for every member, converts
+// the up members' bytes to airtime as bytes*scale*ETX (in that order: the
+// scale multiplies the draw, never the RNG), and lets the scheduler allocate
+// the capacity. Down members' draws are discarded, so churn never shifts the
+// demand process; a nil up means every member is up. offered is the summed
+// airtime demand.
+func (w *world) epoch(up []bool, scale float64) (air, alloc []float64, burst []bool, offered float64) {
+	bytesDemand, burst := w.model.Sample(w.demandRNG)
+	air = make([]float64, len(bytesDemand))
+	for i, b := range bytesDemand {
+		if up != nil && !up[i] {
+			continue
+		}
+		air[i] = b * scale * w.net.PathETX[i+1]
+		offered += air[i]
+	}
+	return air, w.sched.Allocate(air, w.capacity), burst, offered
+}
+
+// churnConfig is cfg without the epoch count.
+func (cfg SimConfig) churnConfig() ChurnConfig {
+	return ChurnConfig{
+		Members: cfg.Members, HeavyFrac: cfg.HeavyFrac, CapacityFactor: cfg.CapacityFactor,
+		MeshRadius: cfg.MeshRadius, Seed: cfg.Seed,
+	}
+}
+
+// Simulate runs the demand process through sched over a freshly built mesh
+// and returns the summary. Member 0 of the behavioural model maps to mesh
+// node 1 (node 0 is the gateway).
+func Simulate(cfg SimConfig, sched Scheduler) (SimResult, error) {
+	if cfg.Members < 2 {
+		return SimResult{}, fmt.Errorf("cn: need at least 2 members, got %d", cfg.Members)
+	}
+	w, err := newWorld(cfg.churnConfig(), sched)
+	if err != nil {
+		return SimResult{}, err
+	}
 	var (
 		lights, heavies, bursts []float64
 		utils                   []float64
@@ -150,15 +200,7 @@ func Simulate(cfg SimConfig, sched Scheduler) (SimResult, error) {
 		lightObs, lightFull     int
 	)
 	for e := 0; e < cfg.Epochs; e++ {
-		bytesDemand, burst := model.Sample(demandRNG)
-		airDemand := make([]float64, cfg.Members)
-		offered := 0.0
-		for i := range bytesDemand {
-			airDemand[i] = bytesDemand[i] * net.PathETX[i+1]
-			offered += airDemand[i]
-		}
-		alloc := sched.Allocate(airDemand, capacity)
-
+		airDemand, alloc, burst, offered := w.epoch(nil, 1)
 		granted := 0.0
 		sat := make([]float64, cfg.Members)
 		for i := range alloc {
@@ -167,12 +209,12 @@ func Simulate(cfg SimConfig, sched Scheduler) (SimResult, error) {
 				sat[i] = alloc[i] / airDemand[i]
 			}
 		}
-		utils = append(utils, granted/capacity)
-		epochCongested := offered > capacity
+		utils = append(utils, granted/w.capacity)
+		epochCongested := offered > w.capacity
 		if epochCongested {
 			congested++
 		}
-		for i, k := range model.Kinds {
+		for i, k := range w.model.Kinds {
 			switch {
 			case k == HeavyUser:
 				heavies = append(heavies, sat[i])

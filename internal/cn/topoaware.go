@@ -3,7 +3,6 @@ package cn
 import (
 	"fmt"
 
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -28,32 +27,14 @@ func SimulateTopologyAware(cfg SimConfig, sched Scheduler) (TopoAwareResult, err
 	if cfg.Members < 4 {
 		return TopoAwareResult{}, fmt.Errorf("cn: topology-aware sim needs >= 4 members")
 	}
-	r := rng.New(cfg.Seed)
-	radius := cfg.MeshRadius
-	if radius == 0 {
-		radius = 0.35
-	}
-	net, err := BuildMesh(cfg.Members+1, radius, r.Split())
+	w, err := newWorld(cfg.churnConfig(), sched)
 	if err != nil {
 		return TopoAwareResult{}, err
 	}
-	model := NewDemandModel(cfg.Members, cfg.HeavyFrac)
-	demandRNG := r.Split()
-
-	meanBytes := 0.0
-	for _, k := range model.Kinds {
-		if k == HeavyUser {
-			meanBytes += model.HeavyBase
-		} else {
-			meanBytes += model.LightBase * (1 + model.BurstProb*(model.BurstFactor-1))
-		}
-	}
-	meanETX := net.MeanPathETX()
-	capacity := cfg.CapacityFactor * meanBytes * meanETX
 
 	// Topology rates, rescaled so their sum equals the gateway capacity —
 	// the two layers then describe the same total resource.
-	rawRates, err := net.MaxMinRates(1)
+	rawRates, err := w.net.MaxMinRates(1)
 	if err != nil {
 		return TopoAwareResult{}, err
 	}
@@ -63,29 +44,19 @@ func SimulateTopologyAware(cfg SimConfig, sched Scheduler) (TopoAwareResult, err
 	}
 	caps := make([]float64, cfg.Members)
 	for i := range caps {
-		caps[i] = rawRates[i+1] / rateSum * capacity
+		caps[i] = rawRates[i+1] / rateSum * w.capacity
 	}
 
 	// Near/far split by hop count.
 	hops := make([]int, cfg.Members)
-	maxHop := 0
 	for i := range hops {
-		hops[i] = net.HopsToGateway(i + 1)
-		if hops[i] > maxHop {
-			maxHop = hops[i]
-		}
+		hops[i] = w.net.HopsToGateway(i + 1)
 	}
 	median := medianInt(hops)
 
-	sched.Reset(cfg.Members)
 	var nearSats, farSats []float64
 	for e := 0; e < cfg.Epochs; e++ {
-		bytesDemand, _ := model.Sample(demandRNG)
-		airDemand := make([]float64, cfg.Members)
-		for i := range bytesDemand {
-			airDemand[i] = bytesDemand[i] * net.PathETX[i+1]
-		}
-		alloc := sched.Allocate(airDemand, capacity)
+		airDemand, alloc, _, _ := w.epoch(nil, 1)
 		for i := range alloc {
 			if alloc[i] > caps[i] {
 				alloc[i] = caps[i] // the path cannot carry more

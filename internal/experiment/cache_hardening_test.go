@@ -308,7 +308,7 @@ func TestRunnerCoalescesConcurrentIdenticalJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{Cache: cache, Coalesce: true}
+	r := &Runner{Cache: cache}
 	job := NewJob(def{d})
 	results, errs := runCoalesced(r, job, followers, entered, release)
 
@@ -351,7 +351,7 @@ func TestRunnerCoalesceFollowerHonoursContext(t *testing.T) {
 		<-release
 		return inner(ctx, p, seed)
 	}
-	r := &Runner{Coalesce: true}
+	r := &Runner{}
 	job := NewJob(def{d})
 
 	var wg sync.WaitGroup
@@ -396,7 +396,7 @@ func TestRunnerCoalescedPanicFailsClosed(t *testing.T) {
 		var ids []string
 		return nil, fmt.Errorf("unreachable: %s", ids[0])
 	}
-	r := &Runner{Coalesce: true}
+	r := &Runner{}
 	job := NewJob(def{d})
 	_, errs := runCoalesced(r, job, followers, entered, release)
 

@@ -43,12 +43,6 @@ type Runner struct {
 	ScenarioWorkers int
 	// Cache, when non-nil, is consulted before and filled after every run.
 	Cache *Cache
-	// Coalesce, when set, deduplicates concurrent identical jobs: callers
-	// whose cache key matches an in-flight execution share its result
-	// instead of running the scenario again (or racing on the cache).
-	// Results handed to coalesced callers are shared pointers and must be
-	// treated as read-only, which is already the package contract.
-	Coalesce bool
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -78,8 +72,10 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) ([]*Result, error) {
 
 // RunOne executes one job: merge params against the schema, consult the
 // cache, run on a miss, stamp the result's identity fields, and store it.
-// With Coalesce set, concurrent calls that resolve to the same cache key
-// share one execution.
+// Concurrent calls that resolve to the same cache key share one execution
+// instead of running the scenario again (or racing on the cache); the
+// result they share is one pointer and must be treated as read-only, which
+// is already the package contract.
 func (r *Runner) RunOne(ctx context.Context, job Job) (*Result, error) {
 	s := job.Scenario
 	if s == nil {
@@ -90,9 +86,6 @@ func (r *Runner) RunOne(ctx context.Context, job Job) (*Result, error) {
 		return nil, fmt.Errorf("scenario %s: %w", s.ID(), err)
 	}
 	key := CacheKey(s.ID(), merged, job.Seed)
-	if !r.Coalesce {
-		return r.runKeyed(ctx, s, merged, job.Seed, key)
-	}
 	res, shared, err := r.flight.do(ctx, key, func() (*Result, error) {
 		return r.runKeyed(ctx, s, merged, job.Seed, key)
 	})
@@ -102,8 +95,8 @@ func (r *Runner) RunOne(ctx context.Context, job Job) (*Result, error) {
 	return res, err
 }
 
-// runKeyed is the uncoalesced execution path: cache lookup, scenario run on
-// a miss, identity stamping, and write-back.
+// runKeyed is one execution inside a flight: cache lookup, scenario run on a
+// miss, identity stamping, and write-back.
 func (r *Runner) runKeyed(ctx context.Context, s Scenario, merged Values, seed uint64, key string) (*Result, error) {
 	if r.Cache != nil {
 		if res, ok := r.Cache.Get(key, s.ID()); ok {

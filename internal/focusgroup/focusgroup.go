@@ -106,36 +106,10 @@ func Simulate(cfg Config) (Result, error) {
 	if n < 2 || cfg.Turns <= 0 {
 		return Result{}, fmt.Errorf("focusgroup: need >= 2 participants and positive turns")
 	}
-	r := rng.New(cfg.Seed)
+	order, interventions := speakers(cfg)
 	turns := make([]float64, n)
 	surfaced := make([]int, n)
-	weights := make([]float64, n)
-	for i, p := range cfg.Participants {
-		weights[i] = p.Talkativeness
-	}
-	interventions := 0
-	next := 0 // round-robin cursor
-	for t := 0; t < cfg.Turns; t++ {
-		var speaker int
-		switch cfg.Strategy {
-		case RoundRobin:
-			speaker = next
-			next = (next + 1) % n
-		case Gated:
-			threshold := cfg.GateThreshold
-			if threshold == 0 {
-				threshold = 0.8
-			}
-			if t > n && stats.Jain(turns) < threshold {
-				// Hand the floor to the least-heard participant.
-				speaker = argmin(turns)
-				interventions++
-			} else {
-				speaker = r.Categorical(weights)
-			}
-		default:
-			speaker = r.Categorical(weights)
-		}
+	for _, speaker := range order {
 		turns[speaker]++
 		p := cfg.Participants[speaker]
 		if p.TurnsPerInsight > 0 && surfaced[speaker] < p.Insights &&
@@ -169,6 +143,47 @@ func Simulate(cfg Config) (Result, error) {
 		res.QuietCoverage = float64(quietSurfaced) / float64(quietHeld)
 	}
 	return res, nil
+}
+
+// speakers runs the session's floor policy and returns who holds the floor
+// at each turn, plus how many times the Gated moderator intervened. It is the
+// one speaker draw for a config, so Simulate and Transcript see the same
+// session.
+func speakers(cfg Config) (order []int, interventions int) {
+	n := len(cfg.Participants)
+	r := rng.New(cfg.Seed)
+	turns := make([]float64, n)
+	weights := make([]float64, n)
+	for i, p := range cfg.Participants {
+		weights[i] = p.Talkativeness
+	}
+	order = make([]int, cfg.Turns)
+	next := 0 // round-robin cursor
+	for t := range order {
+		var speaker int
+		switch cfg.Strategy {
+		case RoundRobin:
+			speaker = next
+			next = (next + 1) % n
+		case Gated:
+			threshold := cfg.GateThreshold
+			if threshold == 0 {
+				threshold = 0.8
+			}
+			if t > n && stats.Jain(turns) < threshold {
+				// Hand the floor to the least-heard participant.
+				speaker = argmin(turns)
+				interventions++
+			} else {
+				speaker = r.Categorical(weights)
+			}
+		default:
+			speaker = r.Categorical(weights)
+		}
+		turns[speaker]++
+		order[t] = speaker
+	}
+	return order, interventions
 }
 
 // quietThreshold returns the 25th-percentile talkativeness.

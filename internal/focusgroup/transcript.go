@@ -23,43 +23,15 @@ type TranscriptConfig struct {
 // and renders it as a qualcode document: one segment per turn, speaker set
 // to the participant ID.
 func Transcript(cfg Config, tcfg TranscriptConfig) (qualcode.Document, error) {
-	n := len(cfg.Participants)
-	if n < 2 || cfg.Turns <= 0 {
+	if len(cfg.Participants) < 2 || cfg.Turns <= 0 {
 		return qualcode.Document{}, fmt.Errorf("focusgroup: transcript needs a valid session config")
 	}
-	// Re-run the speaker selection with the session's own seed so the
-	// transcript matches what Simulate measured.
-	r := rng.New(cfg.Seed)
-	weights := make([]float64, n)
-	for i, p := range cfg.Participants {
-		weights[i] = p.Talkativeness
-	}
-	turnsSoFar := make([]float64, n)
-	next := 0
+	order, _ := speakers(cfg)
 	textRNG := rng.New(tcfg.Seed)
 	filler := []string{"well", "think", "agree", "maybe", "right", "because", "here", "really"}
 
 	doc := qualcode.Document{ID: "focus-group", Title: "Focus group transcript"}
-	for t := 0; t < cfg.Turns; t++ {
-		var speaker int
-		switch cfg.Strategy {
-		case RoundRobin:
-			speaker = next
-			next = (next + 1) % n
-		case Gated:
-			threshold := cfg.GateThreshold
-			if threshold == 0 {
-				threshold = 0.8
-			}
-			if t > n && jain(turnsSoFar) < threshold {
-				speaker = argmin(turnsSoFar)
-			} else {
-				speaker = r.Categorical(weights)
-			}
-		default:
-			speaker = r.Categorical(weights)
-		}
-		turnsSoFar[speaker]++
+	for t, speaker := range order {
 		p := cfg.Participants[speaker]
 		vocab := tcfg.Topics[p.ID]
 		words := make([]string, 0, 10)
@@ -77,19 +49,4 @@ func Transcript(cfg Config, tcfg TranscriptConfig) (qualcode.Document, error) {
 		})
 	}
 	return doc, nil
-}
-
-// jain mirrors stats.Jain for the speaker-selection replay (must follow the
-// exact branch structure Simulate uses so the transcript matches the
-// measured session).
-func jain(xs []float64) float64 {
-	var s, sq float64
-	for _, x := range xs {
-		s += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 0
-	}
-	return s * s / (float64(len(xs)) * sq)
 }

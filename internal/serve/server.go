@@ -115,7 +115,6 @@ func New(cfg Config) *Server {
 		runner: &experiment.Runner{
 			ScenarioWorkers: cfg.ScenarioWorkers,
 			Cache:           cfg.Cache,
-			Coalesce:        true,
 		},
 		now:   now,
 		lru:   newLRU(cfg.LRUSize, cfg.LRUBytes),

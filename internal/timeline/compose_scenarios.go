@@ -288,8 +288,8 @@ func runE21(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 		return nil, fmt.Errorf("timeline: outage [%d, %d) does not fit before tick %d", outAt, outAt+outLen, ticks)
 	}
 	surge, reachThr := p.Float("surge"), p.Float("reach-thr")
-	if surge <= 0 || surge > MaxDemandScale {
-		return nil, fmt.Errorf("timeline: surge %v outside (0, %d]", surge, MaxDemandScale)
+	if surge <= 0 || surge > cn.MaxDemandScale {
+		return nil, fmt.Errorf("timeline: surge %v outside (0, %d]", surge, cn.MaxDemandScale)
 	}
 	sched, err := schedulerByName(p.String("scheduler"))
 	if err != nil {

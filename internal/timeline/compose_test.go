@@ -390,7 +390,12 @@ func (m *coldIXPMachine) Apply(ev Event) error {
 		if !x.HasMember(ev.ASN) {
 			return fmt.Errorf("AS %d not a member of %s", ev.ASN, ev.Name)
 		}
-		m.f.RetractMemberSessions(ev.Name, ev.ASN)
+		if _, err := m.f.RetractMemberSessionsVia(ev.Name, ev.ASN, func(a, b bgpsim.ASN) error {
+			m.f.Topo.RemovePeer(a, b)
+			return nil
+		}); err != nil {
+			return err
+		}
 		m.f.Leave(ev.Name, ev.ASN)
 	case KindRegulate:
 		m.reg = ixp.Regulation{Country: ev.Name, MandatoryPeering: true}
@@ -585,7 +590,7 @@ func TestCNMachineDemandScale(t *testing.T) {
 		t.Fatalf("offered at scale 2 = %v, want exactly 2x %v", s[1], b[1])
 	}
 	// Out-of-range scales are rejected through the event path.
-	for _, v := range []float64{0, -1, MaxDemandScale + 1} {
+	for _, v := range []float64{0, -1, cn.MaxDemandScale + 1} {
 		if err := newM().Apply(Event{Kind: KindCNDemand, Value: v}); err == nil {
 			t.Errorf("demand scale %v accepted", v)
 		}

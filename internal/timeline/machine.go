@@ -1,16 +1,16 @@
 package timeline
 
-// The replay loop. A Machine is live simulation state that can apply the
-// events it understands and observe one row of metrics per tick; ReplayCtx
-// drives a stream through it and collects the time series. Determinism
-// contract: a Machine's Apply/Observe must be pure functions of its
-// construction arguments and the event sequence — no wall clock, no global
-// RNG, no map-iteration-order dependence — so ReplayCtx(ctx, stream, machine)
-// is byte-stable for a fixed seed at any worker count.
+// Machines. A Machine is live simulation state that can apply the events it
+// understands and observe one row of metrics per tick; ReplayCtx drives a
+// stream through it (by way of the composition loop in compose.go) and
+// collects the time series. Determinism contract: a Machine's Apply/Observe
+// must be pure functions of its construction arguments and the event
+// sequence — no wall clock, no global RNG, no map-iteration-order dependence
+// — so ReplayCtx(ctx, stream, machine) is byte-stable for a fixed seed at
+// any worker count.
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/experiment"
 )
@@ -31,8 +31,8 @@ type Machine interface {
 	// machine's life. It is the routing contract of the composition layer
 	// (compose.go): Compose requires the parts' kind sets to be disjoint and
 	// directs each merged-stream or cascade-injected event to the one part
-	// that claims its kind. Single-machine ReplayCtx ignores it — the stream is
-	// the machine's own, and Apply stays strict about every event in it.
+	// that claims its kind. Single-machine ReplayCtx is a one-part
+	// composition, so it too rejects a stream event of an undeclared kind.
 	Kinds() []Kind
 	// Apply applies one event. Machines are strict: an event of a kind the
 	// machine does not model, or one inapplicable to the current state
@@ -53,36 +53,21 @@ type Series struct {
 
 // ReplayCtx canonicalizes and validates the stream, then runs it through m:
 // for each tick in [0, Horizon), apply that tick's events in canonical
-// order, then observe. The context is checked once per tick and passed
-// implicitly to nothing: machines capture their own context at construction
-// if their internals fan out.
+// order, then observe. It is the composed replay with m as the only part and
+// no cascade rules, so an event of a kind m.Kinds() does not declare fails
+// the replay before the first tick. The context is checked once per tick and
+// passed implicitly to nothing: machines capture their own context at
+// construction if their internals fan out.
 func ReplayCtx(ctx context.Context, s Stream, m Machine) (*Series, error) {
-	cs := s.Canonicalize()
-	if err := cs.Validate(); err != nil {
+	c, err := Compose([]Part{{Name: "machine", M: m}}, nil)
+	if err != nil {
 		return nil, err
 	}
-	out := &Series{Cols: m.Cols()}
-	i := 0
-	for tick := 0; tick < cs.Horizon; tick++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("timeline: tick %d: %w", tick, err)
-		}
-		for i < len(cs.Events) && cs.Events[i].At == tick {
-			if err := m.Apply(cs.Events[i]); err != nil {
-				return nil, fmt.Errorf("timeline: tick %d: apply %s: %w", tick, cs.Events[i].Kind, err)
-			}
-			i++
-		}
-		row, err := m.Observe(tick)
-		if err != nil {
-			return nil, fmt.Errorf("timeline: tick %d: observe: %w", tick, err)
-		}
-		if len(row) != len(out.Cols) {
-			return nil, fmt.Errorf("timeline: tick %d: observation has %d values, want %d", tick, len(row), len(out.Cols))
-		}
-		out.Rows = append(out.Rows, row)
+	out, err := c.ReplayCtx(ctx, s)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return out.Series[0], nil
 }
 
 // Table renders the series into res as a table with a leading "tick" column,

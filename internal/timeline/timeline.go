@@ -18,9 +18,10 @@
 //     engine (falling back to cold column re-convergence exactly where the
 //     uniqueness gate demands — that logic lives in bgpsim, not here); the
 //     CN and IXP machines drive the churn hooks those packages expose.
-//   - ReplayCtx (machine.go): the loop — canonicalize, validate, apply each
-//     tick's events, observe, collect a time-series that converts to an
-//     experiment.Result table.
+//   - Composition.ReplayCtx (compose.go): the loop — canonicalize, validate,
+//     apply each tick's events, observe, collect a time-series that converts
+//     to an experiment.Result table. Single-machine ReplayCtx (machine.go) is
+//     a one-part composition.
 //
 // Streams have a text format (parse.go): `@<tick> <event>` lines after an
 // optional base BGP topology, strictly parsed, with FormatStream/FormatDoc
@@ -35,6 +36,7 @@ import (
 	"strings"
 
 	"repro/internal/bgpsim"
+	"repro/internal/cn"
 	"repro/internal/ixp"
 )
 
@@ -147,8 +149,8 @@ func (e Event) validate() error {
 			return err
 		}
 	case KindCNDemand:
-		if math.IsNaN(e.Value) || e.Value <= 0 || e.Value > MaxDemandScale {
-			return fmt.Errorf("timeline: demand scale %v outside (0, %d]", e.Value, MaxDemandScale)
+		if math.IsNaN(e.Value) || e.Value <= 0 || e.Value > cn.MaxDemandScale {
+			return fmt.Errorf("timeline: demand scale %v outside (0, %d]", e.Value, cn.MaxDemandScale)
 		}
 	case KindStakeShift:
 		if math.IsNaN(e.Value) || e.Value < -1 || e.Value > 1 {
@@ -240,12 +242,11 @@ func deltaLess(a, b bgpsim.Delta) bool {
 }
 
 // Stream limits, bounding what a hostile (fuzzed) document can demand.
-// MaxDemandScale bounds KindCNDemand factors — enough for any surge story,
-// small enough that scaled demand stays far from float trouble.
+// KindCNDemand factors are bounded by cn.MaxDemandScale, the bound the CN
+// machine enforces.
 const (
-	MaxHorizon     = 1 << 16
-	MaxEvents      = 4096
-	MaxDemandScale = 64
+	MaxHorizon = 1 << 16
+	MaxEvents  = 4096
 )
 
 // Stream is an ordered event sequence with a horizon: replay covers ticks

@@ -336,3 +336,17 @@ func TestReplayRejectsUnknownTickEvents(t *testing.T) {
 		t.Fatalf("failed replay left %d applied patches", m.Applied())
 	}
 }
+
+// TestReplayRejectsUndeclaredKinds: single-machine replay routes events by
+// Kinds() like a composition, so an event the machine does not declare fails
+// the replay up front instead of at its tick.
+func TestReplayRejectsUndeclaredKinds(t *testing.T) {
+	m, err := NewCNMachine(cn.ChurnConfig{Members: 6, Seed: 1}, &cn.CPR{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := Stream{Horizon: 3, Events: []Event{{At: 2, Kind: KindRegulate, Name: "MX"}}}
+	if _, err := ReplayCtx(context.Background(), st, m); err == nil || !strings.Contains(err.Error(), "no part consumes") {
+		t.Fatalf("replay of an undeclared kind: err = %v, want a no-part-consumes error", err)
+	}
+}
